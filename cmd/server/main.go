@@ -116,7 +116,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&o.driftAt, "drift-threshold", rdfshapes.DefaultDriftThreshold,
 		"statistics drift triggering background re-annotation (0 = never)")
 	fs.Float64Var(&o.adaptiveAt, "adaptive-qerror", 0,
-		"rolling q-error threshold past which a cached template plan is re-optimized against current statistics (<= 1 disables; see docs/BENCHMARKING.md)")
+		"rolling q-error threshold past which a cached template plan is re-optimized against current statistics (<= 1 disables; see docs/PERFORMANCE.md)")
 	fs.IntVar(&o.maxConcurrent, "max-concurrent", server.DefaultMaxConcurrent,
 		"queries executing at once; excess requests wait -queue-wait then get 503 (<0 = unlimited)")
 	fs.DurationVar(&o.queueWait, "queue-wait", server.DefaultQueueWait,

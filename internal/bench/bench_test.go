@@ -408,20 +408,3 @@ func TestQErrorExperimentYAGO(t *testing.T) {
 		t.Errorf("SS gmean %.2f worse than GS %.2f on YAGO", gm(per["SS"]), gm(per["GS"]))
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	if Quantile(nil, 0.5) != 0 {
-		t.Error("empty sample")
-	}
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, c := range []struct{ q, want float64 }{
-		{0.5, 5}, {0.95, 10}, {0.99, 10}, {1, 10}, {0.1, 1},
-	} {
-		if got := Quantile(xs, c.q); got != c.want {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Quantile([]float64{7}, 0.5); got != 7 {
-		t.Errorf("single sample = %v", got)
-	}
-}

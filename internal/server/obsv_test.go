@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -182,16 +183,59 @@ func TestServerInstallsDefaultCollector(t *testing.T) {
 
 // TestAdaptiveMetricsExposed checks that enabling adaptive replan on the
 // DB surfaces its gauges in /metrics: the tracked-template count and the
-// per-template rolling q-error series.
+// per-template rolling q-error series. The reads run beside an update
+// stream, every request of either kind must succeed, and afterwards the
+// q-error histogram and /trace/recent hold the executions.
 func TestAdaptiveMetricsExposed(t *testing.T) {
 	srv, _ := newGovernedServer(t, 4, Config{}, rdfshapes.WithAdaptiveReplan(10))
-	getBody(t, srv.URL+"/sparql?query="+url.QueryEscape(crossQuery))
-	getBody(t, srv.URL+"/sparql?query="+url.QueryEscape(crossQuery))
-	body := metricsBody(t, srv.URL)
-	if !strings.Contains(body, "rdfshapes_adaptive_templates 1") {
-		t.Errorf("metrics missing adaptive template count:\n%s", body)
+	const updates, reads = 10, 10
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < updates; i++ {
+			resp, err := http.PostForm(srv.URL+"/update", url.Values{"update": {fmt.Sprintf(
+				"INSERT DATA { <http://x/w%d> <http://x/q> <http://x/v%d> }", i, i)}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("update %d beside reads: status = %d", i, resp.StatusCode)
+			}
+		}
+	}()
+	for i := 0; i < reads; i++ {
+		if status, body, _ := getBody(t, srv.URL+"/sparql?query="+url.QueryEscape(crossQuery)); status != http.StatusOK {
+			t.Errorf("read %d beside updates: status = %d: %s", i, status, body)
+		}
 	}
-	if !strings.Contains(body, obsv.MetricTemplateQError+`{template="`) {
-		t.Errorf("metrics missing %s series:\n%s", obsv.MetricTemplateQError, body)
+	<-done
+	body := metricsBody(t, srv.URL)
+	for _, want := range []string{
+		"rdfshapes_adaptive_templates 1",
+		obsv.MetricTemplateQError + `{template="`,
+		fmt.Sprintf("rdfshapes_updates_applied %d", updates),
+		fmt.Sprintf(`rdfshapes_plan_qerror_count{planner="GS"} %d`, reads),
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("metrics missing %q:\n%s", want, body)
+		}
+	}
+	var out struct {
+		Traces []struct {
+			Patterns []struct {
+				QError float64 `json:"qerror"`
+			} `json:"patterns"`
+		} `json:"traces"`
+	}
+	getJSON(t, srv.URL+"/trace/recent", &out)
+	if len(out.Traces) != reads {
+		t.Fatalf("/trace/recent holds %d traces, want %d", len(out.Traces), reads)
+	}
+	for _, tr := range out.Traces {
+		if len(tr.Patterns) != 3 || tr.Patterns[2].QError < 1 {
+			t.Errorf("trace without per-pattern q-errors: %+v", tr)
+		}
 	}
 }

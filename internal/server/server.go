@@ -298,10 +298,7 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 		h.obs.RegisterCounterVec(obsv.MetricScanServed,
 			"Shard scans served, by wire protocol.", "proto",
 			func() map[string]float64 {
-				return map[string]float64{
-					"framed":   float64(scanStats.FramedScans.Load()),
-					"ntriples": float64(scanStats.LegacyScans.Load()),
-				}
+				return map[string]float64{"framed": float64(scanStats.FramedScans.Load())}
 			})
 		h.obs.RegisterCounter(obsv.MetricScanFrames,
 			"Checksummed frames written by the scan endpoint.",
@@ -623,18 +620,10 @@ func (h *Handler) sparql(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	switch queryForm(src) {
-	case "ASK":
-		ok, err := h.db.AskCtx(r.Context(), src)
-		if err != nil {
-			h.queryError(w, r, err)
-			return
-		}
-		var out jsonResults
-		out.Boolean = &ok
-		writeJSON(w, out)
-		return
-	case "CONSTRUCT":
+	// One parse decides the response form: QueryCtx answers SELECT and
+	// ASK itself and reports a CONSTRUCT as ErrConstruct.
+	res, err := h.db.QueryCtx(r.Context(), src)
+	if errors.Is(err, rdfshapes.ErrConstruct) {
 		g, err := h.db.ConstructCtx(r.Context(), src)
 		if err != nil {
 			h.queryError(w, r, err)
@@ -646,9 +635,13 @@ func (h *Handler) sparql(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res, err := h.db.QueryCtx(r.Context(), src)
 	if err != nil {
 		h.queryError(w, r, err)
+		return
+	}
+	if res.Ask {
+		ok := len(res.Rows) > 0
+		writeJSON(w, jsonResults{Boolean: &ok})
 		return
 	}
 	var out jsonResults
@@ -691,27 +684,6 @@ func toJSONTerm(t rdf.Term) jsonTerm {
 		}
 		return jt
 	}
-}
-
-// queryForm sniffs the query form ("ASK", "CONSTRUCT", or "SELECT")
-// without a full parse, so each form gets its response shape: boolean
-// JSON for ASK, N-Triples for CONSTRUCT, bindings JSON otherwise.
-func queryForm(src string) string {
-	for _, line := range strings.Split(src, "\n") {
-		trimmed := strings.TrimSpace(line)
-		if trimmed == "" || strings.HasPrefix(trimmed, "#") || strings.HasPrefix(strings.ToUpper(trimmed), "PREFIX") {
-			continue
-		}
-		upper := strings.ToUpper(trimmed)
-		switch {
-		case strings.HasPrefix(upper, "ASK"):
-			return "ASK"
-		case strings.HasPrefix(upper, "CONSTRUCT"):
-			return "CONSTRUCT"
-		}
-		return "SELECT"
-	}
-	return "SELECT"
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -120,6 +121,8 @@ func TestSparqlAsk(t *testing.T) {
 		`ASK { ?x <http://ex/hates> ?y }`: false,
 		`PREFIX ex: <http://ex/>
 		 ASK { ?x ex:age ?a . FILTER(?a > 40) }`: true,
+		// prologue and form on one line: the form comes from the parse
+		`PREFIX ex: <http://ex/> ASK { ?x ex:knows ?y }`: true,
 	} {
 		var out struct {
 			Boolean *bool `json:"boolean"`
@@ -167,13 +170,16 @@ func TestSparqlErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("missing query: status = %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/sparql?query=" + url.QueryEscape("NOT SPARQL"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad query: status = %d", resp.StatusCode)
+	// "ASKED" only starts like a query form: a parse error, not an ASK
+	for _, bad := range []string{"NOT SPARQL", "ASKED { ?x <http://ex/knows> ?y }"} {
+		resp, err = http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("bad query %q: status = %d", bad, resp.StatusCode)
+		}
 	}
 }
 
@@ -276,23 +282,26 @@ func TestBudgetExceededOverHTTP(t *testing.T) {
 
 func TestSparqlConstructOverHTTP(t *testing.T) {
 	srv := newServer(t)
-	q := url.QueryEscape(`PREFIX ex: <http://ex/>
-		CONSTRUCT { ?y ex:knownBy ?x } WHERE { ?x ex:knows ?y }`)
-	resp, err := http.Get(srv.URL + "/sparql?query=" + q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/n-triples") {
-		t.Errorf("content type = %q", ct)
-	}
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	body := string(buf[:n])
-	if !strings.Contains(body, "<http://ex/bob> <http://ex/knownBy> <http://ex/alice> .") {
-		t.Errorf("construct body = %q", body)
+	for _, query := range []string{
+		`PREFIX ex: <http://ex/>
+		CONSTRUCT { ?y ex:knownBy ?x } WHERE { ?x ex:knows ?y }`,
+		// prologue and form on one line: the form comes from the parse
+		`PREFIX ex: <http://ex/> CONSTRUCT { ?y ex:knownBy ?x } WHERE { ?x ex:knows ?y }`,
+	} {
+		resp, err := http.Get(srv.URL + "/sparql?query=" + url.QueryEscape(query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d for %q: %s", resp.StatusCode, query, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/n-triples") {
+			t.Errorf("content type = %q for %q", ct, query)
+		}
+		if !strings.Contains(string(body), "<http://ex/bob> <http://ex/knownBy> <http://ex/alice> .") {
+			t.Errorf("construct body = %q for %q", body, query)
+		}
 	}
 }

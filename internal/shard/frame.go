@@ -28,9 +28,9 @@ const (
 	// scanMagic opens every framed scan stream.
 	scanMagic = "RSHSCAN1"
 	// ScanContentType is the media type a client sends in Accept to
-	// request framing and the server sets on framed responses. Legacy
-	// peers that do not know it answer plain N-Triples, and the client
-	// falls back to streaming line decode.
+	// request framing and the server sets on framed responses. It is
+	// the only scan body: the server answers 406 without it, and the
+	// client rejects a 200 of any other type.
 	ScanContentType = "application/vnd.rdfshapes-scan.v1"
 
 	frameData byte = 'D'

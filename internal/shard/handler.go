@@ -14,9 +14,8 @@ import (
 // scrape time by the server's /metrics registration.
 type HandlerStats struct {
 	FramedScans atomic.Int64 // scans served with the framed protocol
-	LegacyScans atomic.Int64 // scans served as plain N-Triples
 	Frames      atomic.Int64 // data+EOS frames written
-	Rows        atomic.Int64 // triples written across both protocols
+	Rows        atomic.Int64 // triples written
 	Aborts      atomic.Int64 // scans cut short by a client write error
 }
 
@@ -37,10 +36,11 @@ type HandlerConfig struct {
 // or absent parameter is a wildcard, and a term unknown to the
 // dictionary yields an empty result (it cannot match anything).
 //
-// Content negotiation selects the body format: a client whose Accept
-// header names ScanContentType gets the framed checksummed stream
-// (magic, CRC32C frames, EOS row-count trailer — see frame.go); anyone
-// else gets plain N-Triples for backward compatibility and curl.
+// The body is the framed checksummed stream (magic, CRC32C frames, EOS
+// row-count trailer — see frame.go) and nothing else: a request whose
+// Accept header does not name ScanContentType gets 406, because any
+// unframed body could be cut on a line boundary without the reader
+// being able to tell.
 func Handler(src func() Source) http.Handler {
 	return HandlerWithConfig(src, HandlerConfig{})
 }
@@ -56,9 +56,12 @@ func HandlerWithConfig(src func() Source, cfg HandlerConfig) http.Handler {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
 			return
 		}
+		if !strings.Contains(r.Header.Get("Accept"), ScanContentType) {
+			http.Error(w, "Accept must name "+ScanContentType, http.StatusNotAcceptable)
+			return
+		}
 		view := src()
 		dict := view.Dict()
-		framed := strings.Contains(r.Header.Get("Accept"), ScanContentType)
 		var pat store.IDTriple
 		for _, pos := range []struct {
 			param string
@@ -77,35 +80,15 @@ func HandlerWithConfig(src func() Source, cfg HandlerConfig) http.Handler {
 			}
 			id, ok := dict.Lookup(term)
 			if !ok {
-				// Unknown term: provably no matches. The framed reply
-				// must still be a complete stream (magic + EOS carrying
-				// zero rows) so the client can tell "empty" from "cut".
-				if framed {
-					serveEmptyFramed(w, stats)
-				} else {
-					w.Header().Set("Content-Type", "application/n-triples")
-					stats.LegacyScans.Add(1)
-				}
+				// Unknown term: provably no matches. The reply must still
+				// be a complete stream (magic + EOS carrying zero rows) so
+				// the client can tell "empty" from "cut".
+				serveEmptyFramed(w, stats)
 				return
 			}
 			*pos.id = id
 		}
-		if framed {
-			serveFramed(w, view, dict, pat, cfg.FrameBytes, stats)
-			return
-		}
-		stats.LegacyScans.Add(1)
-		w.Header().Set("Content-Type", "application/n-triples")
-		view.Scan(pat, func(t store.IDTriple) bool {
-			_, err := fmt.Fprintf(w, "%s %s %s .\n",
-				dict.Term(t.S), dict.Term(t.P), dict.Term(t.O))
-			if err != nil {
-				stats.Aborts.Add(1)
-				return false
-			}
-			stats.Rows.Add(1)
-			return true
-		})
+		serveFramed(w, view, dict, pat, cfg.FrameBytes, stats)
 	})
 }
 

@@ -16,7 +16,6 @@
 package shard
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -165,12 +164,12 @@ type RemoteStats struct {
 // or short scan and are retained for Err as a typed *Error.
 //
 // Each request runs under its own deadline (Timeout). The response is
-// decoded incrementally — framed streams frame by frame, legacy
-// N-Triples line by line — so memory stays bounded by the frame size,
-// not the result size. Retryable failures are retried up to MaxRetries
-// times with jittered exponential backoff, but only while zero triples
-// have been emitted; once the caller has seen a triple, a fault ends
-// the scan with a typed error instead (no duplicate replays).
+// decoded incrementally, frame by frame, so memory stays bounded by
+// the frame size, not the result size. Retryable failures are retried
+// up to MaxRetries times with jittered exponential backoff, but only
+// while zero triples have been emitted; once the caller has seen a
+// triple, a fault ends the scan with a typed error instead (no
+// duplicate replays).
 type Remote struct {
 	base string
 	c    *http.Client
@@ -423,14 +422,13 @@ func (r *Remote) hedgeDelay() time.Duration {
 	return d
 }
 
-// scanStream is one validated open response: status checked, protocol
-// negotiated, and (for framed streams) the magic already verified — the
-// point up to which hedging races attempts.
+// scanStream is one validated open response: status checked, framing
+// confirmed, and the magic already verified — the point up to which
+// hedging races attempts.
 type scanStream struct {
 	resp   *http.Response
 	ctx    context.Context
 	cancel context.CancelFunc
-	framed bool
 	fr     *frameReader
 }
 
@@ -473,15 +471,18 @@ func (r *Remote) open(rawURL string) (*scanStream, *attemptErr) {
 		retryable := resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests
 		return fail(KindStatus, retryable, fmt.Errorf("status %s", resp.Status))
 	}
-	st := &scanStream{resp: resp, ctx: ctx, cancel: cancel}
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), ScanContentType) {
-		st.framed = true
-		st.fr = newFrameReader(resp.Body)
-		if err := st.fr.readHeader(); err != nil {
-			st.close()
-			ae := r.classifyStream(st, err)
-			return nil, ae
-		}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, ScanContentType) {
+		resp.Body.Close()
+		// A 200 that is not the framed stream carries no checksums and
+		// no row count, so nothing in it can be trusted; the peer does
+		// not speak the protocol and retrying will not teach it.
+		r.stCorrupt.Add(1)
+		return fail(KindCorrupt, false, fmt.Errorf("unframed response (Content-Type %q)", ct))
+	}
+	st := &scanStream{resp: resp, ctx: ctx, cancel: cancel, fr: newFrameReader(resp.Body)}
+	if err := st.fr.readHeader(); err != nil {
+		st.close()
+		return nil, r.classifyStream(st, err)
 	}
 	return st, nil
 }
@@ -589,57 +590,31 @@ func (r *Remote) emit(t rdf.Triple, fn func(store.IDTriple) bool, emitted *int64
 // complete (or caller-stopped) scan.
 func (r *Remote) consume(st *scanStream, fn func(store.IDTriple) bool, emitted *int64) *attemptErr {
 	defer st.close()
-	if st.framed {
-		for {
-			payload, eos, err := st.fr.next()
-			if eos {
-				if err != nil {
-					// EOS arrived but its row count disagrees.
-					r.stTruncated.Add(1)
-					return &attemptErr{KindTruncated, true, err}
-				}
-				return nil
-			}
+	for {
+		payload, eos, err := st.fr.next()
+		if eos {
 			if err != nil {
-				return r.classifyStream(st, err)
+				// EOS arrived but its row count disagrees.
+				r.stTruncated.Add(1)
+				return &attemptErr{KindTruncated, true, err}
 			}
-			rows, stopped, perr := r.emitPayload(payload, fn, emitted)
-			st.fr.countRows(rows)
-			if perr != nil {
-				// The frame passed its CRC but does not decode: a peer
-				// bug, not line noise.
-				r.stCorrupt.Add(1)
-				return &attemptErr{KindCorrupt, true, perr}
-			}
-			if stopped {
-				return nil
-			}
+			return nil
 		}
-	}
-	// Legacy N-Triples: stream line by line. No EOS marker exists, so a
-	// truncation on a line boundary is undetectable here — that is the
-	// gap the framed protocol closes; this path stays for old peers.
-	sc := bufio.NewScanner(st.resp.Body)
-	sc.Buffer(make([]byte, 64<<10), MaxFramePayload)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		g, err := rdf.ParseNTriples(bytes.NewReader(append(line, '\n')))
 		if err != nil {
-			return &attemptErr{KindTruncated, true, fmt.Errorf("decode: %w", err)}
+			return r.classifyStream(st, err)
 		}
-		for _, t := range g {
-			if !r.emit(t, fn, emitted) {
-				return nil
-			}
+		rows, stopped, perr := r.emitPayload(payload, fn, emitted)
+		st.fr.countRows(rows)
+		if perr != nil {
+			// The frame passed its CRC but does not decode: a peer
+			// bug, not line noise.
+			r.stCorrupt.Add(1)
+			return &attemptErr{KindCorrupt, true, perr}
+		}
+		if stopped {
+			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return r.classifyStream(st, err)
-	}
-	return nil
 }
 
 // Scan fetches the peer's matches of pat and streams them to fn. IDs in

@@ -125,50 +125,37 @@ func TestRemoteScanMemoryBounded(t *testing.T) {
 	}
 }
 
-// TestRemoteLegacyFallback pins back-compat: when the server ignores
-// content negotiation and answers plain N-Triples, the client falls
-// back to line streaming and still matches the oracle.
+// TestRemoteLegacyFallback pins that no unframed scan body exists any
+// more: the endpoint refuses a request that did not negotiate framing
+// with 406, and a client handed a plain N-Triples 200 by some other
+// peer reports a typed, non-retryable corrupt error after one attempt
+// instead of trusting rows no checksum or row count covers.
 func TestRemoteLegacyFallback(t *testing.T) {
-	srv, _, oracle := chaosBackend(t, 0)
-	stripped := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		// Forward without the Accept header: the backend answers legacy
-		// N-Triples, which is what this test wants the client to survive.
-		proxyReq, err := http.NewRequest(http.MethodGet, srv.URL+r.URL.Path+"?"+r.URL.RawQuery, nil)
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		resp, err := http.DefaultClient.Do(proxyReq)
-		if err != nil {
-			w.WriteHeader(http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32<<10)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				if _, werr := w.Write(buf[:n]); werr != nil {
-					return
-				}
-			}
-			if err != nil {
-				return
-			}
-		}
-	}))
-	defer stripped.Close()
-
-	rd := store.NewDict()
-	remote := NewRemote(stripped.URL, stripped.Client(), rd)
-	got := collect(remote.Scan, store.IDTriple{})
-	if err := remote.Err(); err != nil {
+	srv, _, _ := chaosBackend(t, 0)
+	resp, err := http.Get(srv.URL + "/shard/scan")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalRows(renderRows(rd, got), oracle) {
-		t.Fatalf("legacy fallback diverged: %d rows, oracle %d", len(got), len(oracle))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotAcceptable {
+		t.Errorf("scan without the framed Accept: status = %d, want 406", resp.StatusCode)
+	}
+
+	var hits atomic.Int64
+	plain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/n-triples")
+		fmt.Fprintln(w, "<http://ex/s> <http://ex/p> <http://ex/o> .")
+	}))
+	defer plain.Close()
+	remote := NewRemote(plain.URL, plain.Client(), store.NewDict())
+	got := collect(remote.Scan, store.IDTriple{})
+	var re *Error
+	if err := remote.Err(); !errors.As(err, &re) || re.Kind != KindCorrupt || re.Retryable {
+		t.Fatalf("unframed 200: err = %v, want a non-retryable %s error", err, KindCorrupt)
+	}
+	if len(got) != 0 || hits.Load() != 1 {
+		t.Errorf("unframed 200: %d rows emitted over %d requests, want 0 rows and 1 request", len(got), hits.Load())
 	}
 }
 

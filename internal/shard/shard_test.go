@@ -525,8 +525,8 @@ func TestRemoteRoundTrip(t *testing.T) {
 }
 
 // flakyHandler fails the first failN requests in mode ("drop" kills the
-// connection, "503"/"400" answer with that status, "torn" truncates the
-// body mid-triple), then delegates to the real handler.
+// connection, "503"/"400" answer with that status, "torn" cuts a
+// framed body off after its magic), then delegates to the real handler.
 func flakyHandler(t *testing.T, g *Group, failN int, mode string) (*httptest.Server, *int) {
 	t.Helper()
 	real := Handler(func() Source { return g.Snapshot() })
@@ -546,8 +546,9 @@ func flakyHandler(t *testing.T, g *Group, failN int, mode string) (*httptest.Ser
 				}
 				conn.Close()
 			case "torn":
+				w.Header().Set("Content-Type", ScanContentType)
 				w.Header().Set("Content-Length", "500")
-				fmt.Fprint(w, "<http://ex.org/a> <http://ex.org/b> ")
+				fmt.Fprint(w, scanMagic)
 			default:
 				code := http.StatusServiceUnavailable
 				if mode == "400" {

@@ -12,15 +12,12 @@ import (
 	"rdfshapes/internal/rdf"
 )
 
-// Snapshot format magics. Version 2 appends a CRC32C (Castagnoli) of the
-// payload — everything between the magic and the trailing 4 checksum
-// bytes — so a torn or bit-flipped file is rejected instead of decoded as
-// if it were valid data. Version 1 files (written before the durability
-// subsystem) are still accepted on read.
-const (
-	snapshotMagicV1 = "RDFSNAP1"
-	snapshotMagic   = "RDFSNAP2"
-)
+// snapshotMagic opens every snapshot. The format appends a CRC32C
+// (Castagnoli) of the payload — everything between the magic and the
+// trailing 4 checksum bytes — so a torn or bit-flipped file is rejected
+// instead of decoded as if it were valid data. The unchecksummed
+// RDFSNAP1 predecessor is refused like any other unknown magic.
+const snapshotMagic = "RDFSNAP2"
 
 // maxSnapshotString bounds string lengths read from snapshots, guarding
 // against corrupted or hostile inputs.
@@ -28,7 +25,7 @@ const maxSnapshotString = 64 << 20
 
 // ErrCorrupt marks a snapshot whose integrity check failed: a trailing
 // checksum mismatch, a truncated body, or structurally invalid contents
-// in a checksummed (v2) file. Callers holding an older checkpoint can
+// in the checksummed body. Callers holding an older checkpoint can
 // match it with errors.Is and fall back instead of serving garbage.
 var ErrCorrupt = errors.New("store: snapshot corrupt")
 
@@ -132,54 +129,40 @@ func (r *crcReader) ReadByte() (byte, error) {
 	return b, err
 }
 
-// ReadSnapshot reconstructs a frozen store from WriteSnapshot output.
-// Both format versions are accepted; a v2 file that fails its checksum
-// (or is otherwise structurally invalid) returns an error matching
-// ErrCorrupt.
+// ReadSnapshot reconstructs a frozen store from WriteSnapshot output. A
+// file that fails its checksum (or is otherwise structurally invalid)
+// returns an error matching ErrCorrupt.
 func ReadSnapshot(r io.Reader) (*Store, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(snapshotMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("store: reading snapshot header: %w", err)
 	}
-	switch string(magic) {
-	case snapshotMagicV1:
-		s, err := readSnapshotBody(br, br)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("store: trailing data after snapshot")
-		}
-		return s, nil
-	case snapshotMagic:
-		cr := &crcReader{br: br, crc: crc32.New(castagnoli)}
-		s, err := readSnapshotBody(cr, cr)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
-		}
-		want := cr.crc.Sum32()
-		var sum [4]byte
-		if _, err := io.ReadFull(br, sum[:]); err != nil {
-			return nil, fmt.Errorf("%w: truncated checksum: %w", ErrCorrupt, err)
-		}
-		if got := binary.LittleEndian.Uint32(sum[:]); got != want {
-			return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrCorrupt, got, want)
-		}
-		if _, err := br.ReadByte(); err != io.EOF {
-			return nil, fmt.Errorf("%w: trailing data after checksum", ErrCorrupt)
-		}
-		return s, nil
-	default:
+	if string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("store: not a snapshot (bad magic %q)", magic)
 	}
+	cr := &crcReader{br: br, crc: crc32.New(castagnoli)}
+	s, err := readSnapshotBody(cr)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	want := cr.crc.Sum32()
+	var sum [4]byte
+	if _, err := io.ReadFull(br, sum[:]); err != nil {
+		return nil, fmt.Errorf("%w: truncated checksum: %w", ErrCorrupt, err)
+	}
+	if got := binary.LittleEndian.Uint32(sum[:]); got != want {
+		return nil, fmt.Errorf("%w: checksum mismatch (file %08x, computed %08x)", ErrCorrupt, got, want)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("%w: trailing data after checksum", ErrCorrupt)
+	}
+	return s, nil
 }
 
-// readSnapshotBody decodes the dictionary and triple sections common to
-// both format versions and returns the frozen store. br supplies byte
-// reads (for uvarints) and r bulk reads; v2 passes a checksumming
-// wrapper for both.
-func readSnapshotBody(br io.ByteReader, r io.Reader) (*Store, error) {
+// readSnapshotBody decodes the dictionary and triple sections through
+// the checksumming reader and returns the frozen store.
+func readSnapshotBody(br *crcReader) (*Store, error) {
 	readString := func() (string, error) {
 		n, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -189,7 +172,7 @@ func readSnapshotBody(br io.ByteReader, r io.Reader) (*Store, error) {
 			return "", fmt.Errorf("string length %d exceeds limit", n)
 		}
 		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(br, buf); err != nil {
 			return "", err
 		}
 		return string(buf), nil

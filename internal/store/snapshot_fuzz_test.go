@@ -8,8 +8,7 @@ import (
 )
 
 // fuzzSeedSnapshots returns valid snapshot encodings used to seed the
-// fuzzer: an empty store, a small mixed-term store, and a handcrafted v1
-// file, so mutations explore both format versions from byte one.
+// fuzzer: an empty store and a small mixed-term store.
 func fuzzSeedSnapshots(tb testing.TB) [][]byte {
 	tb.Helper()
 	var seeds [][]byte
@@ -31,20 +30,6 @@ func fuzzSeedSnapshots(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	seeds = append(seeds, b2.Bytes())
-
-	var v1 bytes.Buffer
-	v1.WriteString("RDFSNAP1")
-	v1.WriteByte(1)
-	v1.WriteByte(byte(rdf.IRI))
-	v1.WriteByte(1)
-	v1.WriteString("s")
-	v1.WriteByte(0)
-	v1.WriteByte(0)
-	v1.WriteByte(1)
-	v1.WriteByte(1)
-	v1.WriteByte(1)
-	v1.WriteByte(1)
-	seeds = append(seeds, v1.Bytes())
 	return seeds
 }
 

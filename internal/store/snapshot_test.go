@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -120,46 +122,14 @@ func TestSnapshotErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":        "",
 		"bad magic":    "NOTASNAP",
-		"truncated v1": "RDFSNAP1",
-		"truncated v2": "RDFSNAP2",
+		"truncated":    "RDFSNAP2",
+		"v1 file":      "RDFSNAP1\x01\x00\x01s\x00\x00\x01\x01\x01\x01", // complete, but unchecksummed: refused
 		"short header": "RDF",
 	}
 	for name, input := range cases {
 		if _, err := ReadSnapshot(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: ReadSnapshot succeeded", name)
 		}
-	}
-}
-
-// TestSnapshotV1StillAccepted pins backward compatibility: a handcrafted
-// v1 file (no trailing checksum) must still load.
-func TestSnapshotV1StillAccepted(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString("RDFSNAP1")
-	buf.WriteByte(2)             // 2 terms
-	buf.WriteByte(byte(rdf.IRI)) // term 1: <abc>
-	buf.WriteByte(3)
-	buf.WriteString("abc")
-	buf.WriteByte(0)             // datatype ""
-	buf.WriteByte(0)             // lang ""
-	buf.WriteByte(byte(rdf.IRI)) // term 2: <def>
-	buf.WriteByte(3)
-	buf.WriteString("def")
-	buf.WriteByte(0)
-	buf.WriteByte(0)
-	buf.WriteByte(1) // 1 triple
-	buf.WriteByte(1) // S delta = 1
-	buf.WriteByte(2) // P
-	buf.WriteByte(2) // O
-	st, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if st.Len() != 1 {
-		t.Errorf("Len = %d, want 1", st.Len())
-	}
-	if !st.Contains(IDTriple{S: 1, P: 2, O: 2}) {
-		t.Error("triple missing from decoded v1 snapshot")
 	}
 }
 
@@ -228,9 +198,9 @@ func TestSnapshotTrailingDataRejected(t *testing.T) {
 }
 
 func TestSnapshotCorruptTripleIDsRejected(t *testing.T) {
-	// handcraft a snapshot with a triple referencing term 99
+	// handcraft a snapshot, valid checksum included, with a triple
+	// referencing term 99
 	var buf bytes.Buffer
-	buf.WriteString("RDFSNAP1")
 	buf.WriteByte(1)             // 1 term
 	buf.WriteByte(byte(rdf.IRI)) // kind
 	buf.WriteByte(3)             // len("abc")
@@ -241,8 +211,10 @@ func TestSnapshotCorruptTripleIDsRejected(t *testing.T) {
 	buf.WriteByte(99)            // S delta = 99 (out of range)
 	buf.WriteByte(1)             // P
 	buf.WriteByte(1)             // O
-	if _, err := ReadSnapshot(&buf); err == nil {
-		t.Error("out-of-range term ID accepted")
+	file := append([]byte(snapshotMagic), buf.Bytes()...)
+	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(buf.Bytes(), castagnoli))
+	if _, err := ReadSnapshot(bytes.NewReader(file)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("out-of-range term ID: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -665,7 +665,14 @@ type Result struct {
 	// subset, not a failure. Callers should surface the flag (the HTTP
 	// server adds "truncated":true to the JSON payload).
 	Truncated bool
+	// Ask is true when the query parsed as ASK: execution stopped at the
+	// first solution, and the answer is whether Rows is non-empty.
+	Ask bool
 }
+
+// ErrConstruct is returned by Query and QueryCtx for a CONSTRUCT query,
+// whose answer is a graph, not bindings: evaluate it with Construct.
+var ErrConstruct = errors.New("rdfshapes: CONSTRUCT queries go through Construct, not Query")
 
 // Query parses, optimizes (with shape statistics), executes, and
 // materializes a SELECT query, applying FILTER, ORDER BY, OFFSET, and
@@ -692,33 +699,13 @@ func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
 		return nil, err
 	}
 	if len(q.Construct) > 0 {
-		return nil, fmt.Errorf("rdfshapes: CONSTRUCT queries go through Construct, not Query")
+		return nil, ErrConstruct
 	}
 	v := db.viewCtx(ctx)
 	if q.Aggregate != nil {
 		return v.queryAggregate(src, q)
 	}
-	if len(q.UnionGroups) > 0 {
-		return v.queryUnion(src, q)
-	}
-	plan := v.plan(q)
-	opts := engine.Options{Filters: q.Filters, Optionals: q.Optionals, OptionalFilters: q.OptionalFilters}
-	if q.Ask {
-		opts.Limit = 1
-	}
-	er, err := v.exec(src, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := engine.Materialize(v.snap, q, er)
-	if err != nil {
-		return nil, err
-	}
-	proj := q.Projection
-	if len(proj) == 0 {
-		proj = q.AllVars()
-	}
-	return &Result{Vars: proj, Rows: rows, Plan: plan.String(), Truncated: er.Truncated}, nil
+	return v.queryParsed(src, q)
 }
 
 // queryUnion evaluates a top-level UNION: every branch is planned and
@@ -741,7 +728,11 @@ func (v view) queryUnion(src string, q *sparql.Query) (*Result, error) {
 		bq.Offset = 0
 		plan := v.plan(bq)
 		plans = append(plans, plan.String())
-		er, err := v.exec(src, plan, engine.Options{Filters: bq.Filters})
+		opts := engine.Options{Filters: bq.Filters}
+		if q.Ask {
+			opts.Limit = 1 // one solution per branch settles an ASK
+		}
+		er, err := v.exec(src, plan, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -753,7 +744,7 @@ func (v view) queryUnion(src string, q *sparql.Query) (*Result, error) {
 		rows = append(rows, branchRows...)
 	}
 	rows = applyRowModifiers(rows, proj, q.Distinct, q.Offset, q.Limit)
-	return &Result{Vars: proj, Rows: rows, Plan: strings.Join(plans, ""), Truncated: truncated}, nil
+	return &Result{Vars: proj, Rows: rows, Plan: strings.Join(plans, ""), Truncated: truncated, Ask: q.Ask}, nil
 }
 
 // queryAggregate evaluates a COUNT projection.
@@ -806,13 +797,18 @@ func (v view) queryAggregate(src string, q *sparql.Query) (*Result, error) {
 }
 
 // queryParsed runs an already-parsed non-aggregate query; src is the
-// original query text, carried for trace attribution.
+// original query text, carried for trace attribution. An ASK stops at
+// its first solution.
 func (v view) queryParsed(src string, q *sparql.Query) (*Result, error) {
 	if len(q.UnionGroups) > 0 {
 		return v.queryUnion(src, q)
 	}
 	plan := v.plan(q)
-	er, err := v.exec(src, plan, engine.Options{Filters: q.Filters, Optionals: q.Optionals, OptionalFilters: q.OptionalFilters})
+	opts := engine.Options{Filters: q.Filters, Optionals: q.Optionals, OptionalFilters: q.OptionalFilters}
+	if q.Ask {
+		opts.Limit = 1
+	}
+	er, err := v.exec(src, plan, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -824,7 +820,7 @@ func (v view) queryParsed(src string, q *sparql.Query) (*Result, error) {
 	if len(proj) == 0 {
 		proj = q.AllVars()
 	}
-	return &Result{Vars: proj, Rows: rows, Plan: plan.String(), Truncated: er.Truncated}, nil
+	return &Result{Vars: proj, Rows: rows, Plan: plan.String(), Truncated: er.Truncated, Ask: q.Ask}, nil
 }
 
 // countSolutions counts solutions of the (possibly UNION) BGP with its
@@ -1021,11 +1017,13 @@ func (db *DB) EstimateCount(src string) (float64, error) {
 	return est * cardinality.FilterSelectivity(q), nil
 }
 
-// QueryEach streams a SELECT query's solutions to fn without
-// materializing the full result set: fn receives each projected binding
-// map and returns false to stop early. Solution modifiers that need the
-// whole result (DISTINCT, ORDER BY, OFFSET) and the UNION/aggregate
-// forms are not streamable and fall back to Query internally.
+// QueryEach calls fn with each projected binding map of a SELECT query,
+// in result order, until fn returns false. The result set is
+// materialized before the first call; what QueryEach saves over Query is
+// engine work, by pushing LIMIT into execution so enumeration stops at
+// the limit. Solution modifiers that need the whole result (DISTINCT,
+// ORDER BY, OFFSET) and the UNION/aggregate forms get no such push-down
+// and go through Query.
 func (db *DB) QueryEach(src string, fn func(row map[string]string) bool) error {
 	if err := db.begin(); err != nil {
 		return err
@@ -1054,8 +1052,8 @@ func (db *DB) QueryEach(src string, fn func(row map[string]string) bool) error {
 	if len(proj) == 0 {
 		proj = q.AllVars()
 	}
-	// Engine rows stream through Materialize in result order, so a
-	// limited run is enough; budget still applies.
+	// Materialize keeps the engine's result order, so a limited run is
+	// enough; budget still applies.
 	er, err := v.exec(src, plan, engine.Options{
 		Filters:   q.Filters,
 		Optionals: q.Optionals, OptionalFilters: q.OptionalFilters,
@@ -1222,16 +1220,11 @@ func (db *DB) WriteShapesTurtle(w io.Writer) error {
 	return db.Shapes().WriteTurtle(w, nil)
 }
 
-// exec executes a planned BGP with the DB's governor applied: the
-// operation budget (WithOpsBudget), the intermediate/row budgets
-// (WithLimits), and the call context's cancellation and deadline. When a
-// collector is installed it also assembles and records a query trace:
-// per-pattern estimated (the plan's join estimates) vs. actual (the
-// engine's intermediate sizes) cardinalities, q-error, ops, wall time,
-// and the termination reason. Without a collector it is exactly the old
-// fast path.
 const joinAlgoHelp = "Join steps executed, labeled by the physical join algorithm the optimizer selected (merge vs nested loop)."
 
+// exec executes a planned BGP with the DB's governor applied: the
+// operation budget (WithOpsBudget), the intermediate/row budgets
+// (WithLimits), and the call context's cancellation and deadline.
 func (v view) exec(src string, plan *core.Plan, opts engine.Options) (*engine.Result, error) {
 	db := v.db
 	opts.MaxOps = db.maxOps
@@ -1243,39 +1236,47 @@ func (v view) exec(src string, plan *core.Plan, opts engine.Options) (*engine.Re
 	if v.ctx != nil && v.ctx != context.Background() {
 		opts.Ctx = v.ctx
 	}
-	c := db.obs
-	if c == nil && db.adaptive == nil {
-		er, err := engine.Run(v.snap, plan.Order(), opts)
-		if err != nil {
-			return nil, err
-		}
-		if er.TimedOut {
-			return nil, fmt.Errorf("rdfshapes: %w (budget %d)", ErrBudgetExceeded, db.maxOps)
-		}
-		return er, nil
+	er, err := v.run(src, plan, opts)
+	if err != nil {
+		return nil, err
 	}
+	if er.TimedOut {
+		return nil, fmt.Errorf("rdfshapes: %w (budget %d)", ErrBudgetExceeded, db.maxOps)
+	}
+	return er, nil
+}
 
-	var rep engine.ExecReport
-	var reported bool
-	opts.Observer = func(r engine.ExecReport) { rep, reported = r, true }
+// run is engine.Run plus whoever consumes the execution report: the
+// adaptive replan tracker, and an installed collector, for which it
+// records a query trace. With neither it asks the engine for no report,
+// which keeps the engine's unobserved fast path.
+func (v view) run(src string, plan *core.Plan, opts engine.Options) (*engine.Result, error) {
+	db := v.db
+	if db.obs == nil && db.adaptive == nil {
+		return engine.Run(v.snap, plan.Order(), opts)
+	}
+	var rep *engine.ExecReport // stays nil when the engine fails before reporting
+	opts.Observer = func(r engine.ExecReport) { rep = &r }
 	er, err := engine.Run(v.snap, plan.Order(), opts)
 
 	// Only complete executions feed the adaptive replan tracker: partial
 	// actuals are lower bounds and would register as fake drift.
-	if db.adaptive != nil && err == nil && reported &&
+	if db.adaptive != nil && err == nil && rep != nil &&
 		!rep.TimedOut && !rep.LimitHit && !rep.Truncated {
 		db.adaptive.observe(plan, rep.Intermediate)
 	}
-	if c == nil {
-		if err != nil {
-			return nil, err
-		}
-		if er.TimedOut {
-			return nil, fmt.Errorf("rdfshapes: %w (budget %d)", ErrBudgetExceeded, db.maxOps)
-		}
-		return er, nil
+	if db.obs != nil {
+		v.record(src, plan, er, rep, err)
 	}
+	return er, err
+}
 
+// record assembles one execution's query trace — per-pattern estimated
+// (the plan's join estimates) vs. actual (the engine's intermediate
+// sizes) cardinalities, q-error, ops, wall time, and the termination
+// reason — and hands it to the collector.
+func (v view) record(src string, plan *core.Plan, er *engine.Result, rep *engine.ExecReport, err error) {
+	c := v.db.obs
 	t := obsv.QueryTrace{
 		Query:         src,
 		Planner:       plan.Estimator,
@@ -1292,7 +1293,7 @@ func (v view) exec(src string, plan *core.Plan, opts engine.Options) (*engine.Re
 		default:
 			t.Termination = "error"
 		}
-	} else if reported {
+	} else if rep != nil {
 		t.Rows = rep.Count
 		t.Ops = rep.Ops
 		t.WallNanos = rep.Wall.Nanoseconds()
@@ -1344,14 +1345,6 @@ func (v view) exec(src string, plan *core.Plan, opts engine.Options) (*engine.Re
 	}
 	t.Finish()
 	c.Record(t)
-
-	if err != nil {
-		return nil, err
-	}
-	if er.TimedOut {
-		return nil, fmt.Errorf("rdfshapes: %w (budget %d)", ErrBudgetExceeded, db.maxOps)
-	}
-	return er, nil
 }
 
 func (v view) plan(q *sparql.Query) *core.Plan {

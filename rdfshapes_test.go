@@ -235,6 +235,14 @@ func TestFilterOrderAskThroughFacade(t *testing.T) {
 	if no {
 		t.Error("ASK = true, want false (nobody knows alice)")
 	}
+	// Query answers an ASK too: the form is reported, one row settles it
+	res, err = db.Query(`PREFIX ex: <http://ex/> ASK { ?x a ex:Person }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Ask || len(res.Rows) != 1 {
+		t.Errorf("Query of an ASK: Ask = %v with %d rows, want true with 1", res.Ask, len(res.Rows))
+	}
 	if _, err := db.Ask("ASK {"); err == nil {
 		t.Error("Ask accepted a syntax error")
 	}
@@ -614,8 +622,8 @@ func TestConstructThroughFacade(t *testing.T) {
 		t.Error("Construct accepted a SELECT query")
 	}
 	if _, err := db.Query(`PREFIX ex: <http://ex/>
-		CONSTRUCT { ?x ex:p ?y } WHERE { ?x ex:knows ?y }`); err == nil {
-		t.Error("Query accepted a CONSTRUCT query")
+		CONSTRUCT { ?x ex:p ?y } WHERE { ?x ex:knows ?y }`); !errors.Is(err, rdfshapes.ErrConstruct) {
+		t.Errorf("Query of a CONSTRUCT query: err = %v, want ErrConstruct", err)
 	}
 	if _, err := db.Construct("CONSTRUCT {"); err == nil {
 		t.Error("Construct accepted a syntax error")

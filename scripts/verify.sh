@@ -1,9 +1,11 @@
 #!/bin/sh
-# Repo verification: static checks, the tier-1 suite, and the race
-# detector over the concurrency-sensitive packages (the observability
-# collector, the live update layer, the engine's cancellation paths, the
-# HTTP server's governor, the shard coordinator, and the facade
-# lifecycle). Run from the repo root.
+# Repo verification: static checks, the tier-1 suite, the race detector
+# over the concurrency-sensitive packages (the observability collector,
+# the live update layer, the engine's cancellation paths, the HTTP
+# server's governor, the shard coordinator, and the facade lifecycle),
+# the benchmark/ module's own vet, tests and smoke run (a nested module
+# the root ./... patterns do not reach), and the replication and chaos
+# smokes. Run from the repo root.
 set -eu
 
 echo "== go build =="
@@ -62,23 +64,12 @@ go test -run=NONE -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/store
 echo "== benchmark bit-rot smoke (compile and run every benchmark once) =="
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
-echo "== committed BENCH reports schema-valid =="
-set -- BENCH_*.json
-if [ -e "$1" ]; then
-    go run ./cmd/loadgen -check "$@"
-else
-    echo "(none committed yet)"
-fi
+echo "== benchmark rig (nested module): vet + its own tests, no server =="
+go vet -C benchmark ./...
+go test -C benchmark ./...
 
-echo "== BENCH trajectory regression gate (BENCH_2 -> BENCH_3) =="
-if [ -e BENCH_2.json ] && [ -e BENCH_3.json ]; then
-    go run ./cmd/loadgen -compare -noise 0.15 BENCH_2.json BENCH_3.json
-else
-    echo "(trajectory incomplete; skipping)"
-fi
-
-echo "== loadgen smoke (live server, ~2s run, zero 5xx) =="
-sh scripts/loadgen_smoke.sh
+echo "== benchmark rig smoke (four workloads on a real cmd/server, oracle digests, churn kill/restart, traced run) =="
+go test -C benchmark -run Smoke .
 
 echo "== replication smoke (primary + 2 replicas + router, replica kill mid-run) =="
 sh scripts/repl_smoke.sh
