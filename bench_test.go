@@ -363,7 +363,8 @@ func BenchmarkStoreScan(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStarQuery measures a 5-pattern star execution.
+// BenchmarkEngineStarQuery measures a 5-pattern star execution, counting
+// only and with its rows kept.
 func BenchmarkEngineStarQuery(b *testing.B) {
 	d, _, _ := loadDatasets(b)
 	wq, err := d.QueryByName("S2")
@@ -379,11 +380,21 @@ func BenchmarkEngineStarQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	order := pl.Plan(q).Order()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.Run(d.Store, order, engine.Options{CountOnly: true}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		opts engine.Options
+	}{
+		{"count", engine.Options{CountOnly: true}},
+		{"rows", engine.Options{}}, // plus keeping every solution as a result row
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := engine.Run(d.Store, order, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

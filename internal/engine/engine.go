@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"rdfshapes/internal/sparql"
@@ -433,13 +432,43 @@ type executor struct {
 	// chunk, when non-nil, enumerates the driver pattern's morsel in
 	// place of a full Scan; consumed by the next scan call (level 0).
 	chunk func(fn func(store.IDTriple) bool)
+
+	// slab is the unused tail of the block result rows are carved from,
+	// slabRows the size of the next block; see keepRow.
+	slab     []store.ID
+	slabRows int
+}
+
+// Result rows are carved from blocks that double from minSlabRows to
+// maxSlabRows rows: a handful-of-rows answer allocates a handful of IDs,
+// a 36 000-row one a few dozen blocks instead of a slice per row.
+const (
+	minSlabRows = 16
+	maxSlabRows = 4096
+)
+
+// keepRow copies the current binding into a result row. The executor
+// owns its blocks — a parallel worker carves from its own across morsels
+// — and never reuses them, so a row stays valid for the Result's life.
+func (e *executor) keepRow() []store.ID {
+	w := len(e.row)
+	if len(e.slab) < w {
+		if e.slabRows < maxSlabRows {
+			e.slabRows = max(minSlabRows, 2*e.slabRows)
+		}
+		e.slab = make([]store.ID, e.slabRows*w)
+	}
+	row := e.slab[:w:w]
+	e.slab = e.slab[w:]
+	copy(row, e.row)
+	return row
 }
 
 // emit records one complete solution.
 func (e *executor) emit() {
 	e.res.Count++
 	if !e.opts.CountOnly {
-		e.res.Rows = append(e.res.Rows, append([]store.ID(nil), e.row...))
+		e.res.Rows = append(e.res.Rows, e.keepRow())
 		if e.opts.Limit > 0 && len(e.res.Rows) >= e.opts.Limit {
 			e.stopped = true
 			e.limitHit = true
@@ -675,128 +704,4 @@ func (e *executor) unbind(cp compiledPattern, s, p, o bool) {
 	if o {
 		e.row[cp.slotO] = 0
 	}
-}
-
-// Materialize converts result rows back into term bindings, applying the
-// query's solution modifiers in SPARQL order: ORDER BY over the full
-// bindings (sort keys need not be projected), then projection with
-// DISTINCT, then OFFSET and LIMIT.
-func Materialize(st Source, q *sparql.Query, res *Result) ([]map[string]string, error) {
-	if res.Rows == nil && res.Count > 0 {
-		return nil, fmt.Errorf("engine: result was executed with CountOnly")
-	}
-	proj := q.Projection
-	if len(proj) == 0 {
-		proj = res.Vars
-	}
-	col := map[string]int{}
-	for i, v := range res.Vars {
-		col[v] = i
-	}
-
-	rows := res.Rows
-	if len(q.OrderBy) > 0 {
-		keys := make([]int, len(q.OrderBy))
-		for i, k := range q.OrderBy {
-			c, ok := col[k.Var]
-			if !ok {
-				return nil, fmt.Errorf("engine: ORDER BY variable ?%s not bound by the BGP", k.Var)
-			}
-			keys[i] = c
-		}
-		rows = append([][]store.ID(nil), rows...)
-		dict := st.Dict()
-		sort.SliceStable(rows, func(i, j int) bool {
-			for ki, c := range keys {
-				a, b := rows[i][c], rows[j][c]
-				var cmp int
-				switch {
-				case a == b:
-					continue
-				case a == 0: // unbound OPTIONAL values sort first
-					cmp = -1
-				case b == 0:
-					cmp = 1
-				default:
-					cmp = sparql.CompareTermValues(dict.Term(a), dict.Term(b))
-				}
-				if cmp == 0 {
-					continue
-				}
-				if q.OrderBy[ki].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-	}
-
-	cols := make([]int, len(proj))
-	for i, v := range proj {
-		c, ok := col[v]
-		if !ok {
-			if len(rows) == 0 {
-				return nil, nil
-			}
-			return nil, fmt.Errorf("engine: projected variable ?%s not bound by the BGP", v)
-		}
-		cols[i] = c
-	}
-
-	// Duplicate-heavy results decode the same ID over and over; memoize
-	// the rendered form per call (IDs are canonical per term, so the
-	// cache is exact). ID 0 is an unbound OPTIONAL variable.
-	dict := st.Dict()
-	rendered := make(map[store.ID]string)
-	render := func(id store.ID) string {
-		if id == 0 {
-			return ""
-		}
-		if s, ok := rendered[id]; ok {
-			return s
-		}
-		s := dict.Term(id).String()
-		rendered[id] = s
-		return s
-	}
-
-	var out []map[string]string
-	var seen map[string]bool
-	var keyBuf []byte
-	if q.Distinct {
-		seen = make(map[string]bool, len(rows))
-		keyBuf = make([]byte, 0, 4*len(cols))
-	}
-	skipped := 0
-	for _, row := range rows {
-		if q.Distinct {
-			// Key on the projected ID tuple, fixed-width encoded: rendered
-			// terms may contain any byte (including a separator), so
-			// string concatenation can collide distinct rows; canonical
-			// IDs cannot, and 0 (unbound) differs from every real term.
-			keyBuf = keyBuf[:0]
-			for _, c := range cols {
-				id := row[c]
-				keyBuf = append(keyBuf, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
-			}
-			if seen[string(keyBuf)] {
-				continue
-			}
-			seen[string(keyBuf)] = true
-		}
-		if skipped < q.Offset {
-			skipped++
-			continue
-		}
-		m := make(map[string]string, len(proj))
-		for i, v := range proj {
-			m[v] = render(row[cols[i]])
-		}
-		out = append(out, m)
-		if q.Limit > 0 && len(out) >= q.Limit {
-			break
-		}
-	}
-	return out, nil
 }

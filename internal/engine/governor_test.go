@@ -171,3 +171,32 @@ func TestNoBudgetPathUnchanged(t *testing.T) {
 		t.Errorf("count = %d, want 12", res.Count)
 	}
 }
+
+// TestResultRowsDoNotShareStorage: rows are carved from shared blocks,
+// so each must be capped at its own width — appending to one may not
+// write into its neighbour — and the blocks must outgrow their first
+// size without disturbing rows already handed out.
+func TestResultRowsDoNotShareStorage(t *testing.T) {
+	const n = 20 // 8000 rows: every block size up to the largest
+	st := crossProduct(n)
+	q := sparql.MustParse(crossQuery)
+	for _, k := range []int{1, 4} {
+		res, err := Run(st, q.Patterns, Options{Parallelism: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != n*n*n {
+			t.Fatalf("K=%d: %d rows, want %d", k, len(res.Rows), n*n*n)
+		}
+		seen := map[[3]store.ID]bool{}
+		for _, row := range res.Rows {
+			if cap(row) != len(row) {
+				t.Fatalf("K=%d: a row has cap %d beyond its %d columns", k, cap(row), len(row))
+			}
+			seen[[3]store.ID{row[0], row[2], row[4]}] = true
+		}
+		if len(seen) != n*n*n {
+			t.Errorf("K=%d: %d distinct rows, want %d — a later row overwrote an earlier one", k, len(seen), n*n*n)
+		}
+	}
+}

@@ -353,28 +353,42 @@ func TestMaterializeDistinctUnboundVsEmpty(t *testing.T) {
 }
 
 // BenchmarkMaterializeDecode pins the per-call decode memoization on a
-// high-duplication result: n^2 rows over only 2n distinct terms, so each
-// term used to be rendered n times and is now rendered once.
+// high-duplication result: n^2 rows over only 2n distinct terms. all
+// renders every row, each term once instead of n times; orderBy sorts
+// all of them on two keys and renders ten, so it times the ID-level
+// ORDER BY, whose keys are likewise decoded once per distinct term
+// rather than once per comparison.
 func BenchmarkMaterializeDecode(b *testing.B) {
 	const n = 100
 	st := crossProduct(n)
-	q := sparql.MustParse(`SELECT * WHERE {
+	const where = ` WHERE {
 		?a <http://x/p1> ?b .
 		?c <http://x/p2> ?d .
-	}`)
-	res, err := Run(st, q.Patterns, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := Materialize(st, q, res)
+	}`
+	for _, c := range []struct {
+		name, query string
+		rows        int
+	}{
+		{"all", `SELECT *` + where, n * n},
+		{"orderBy", `SELECT *` + where + ` ORDER BY DESC(?d) ?b LIMIT 10`, 10},
+	} {
+		q := sparql.MustParse(c.query)
+		res, err := Run(st, q.Patterns, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rows) != n*n {
-			b.Fatalf("rows = %d", len(rows))
-		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rows, err := Materialize(st, q, res)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rows) != c.rows {
+					b.Fatalf("rows = %d", len(rows))
+				}
+			}
+		})
 	}
 }
 

@@ -156,7 +156,7 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 	h.timeouts = h.obs.Counter(MetricQueryTimeouts,
 		"Queries terminated by the per-request deadline (504).")
 	h.cancels = h.obs.Counter(MetricClientCancellations,
-		"Queries abandoned because the client disconnected mid-execution.")
+		"Queries abandoned because the client disconnected mid-execution or while its answer was being written.")
 	h.truncations = h.obs.Counter(MetricResultTruncations,
 		"Query responses truncated by an intermediate- or row-budget (served with truncated=true).")
 	h.panics = h.obs.Counter(MetricPanicsRecovered,
@@ -545,28 +545,6 @@ func queryParam(r *http.Request) (string, error) {
 	return "", fmt.Errorf("missing 'query' parameter")
 }
 
-// jsonTerm is one RDF term in SPARQL 1.1 JSON results form.
-type jsonTerm struct {
-	Type     string `json:"type"` // uri | literal | bnode
-	Value    string `json:"value"`
-	Lang     string `json:"xml:lang,omitempty"`
-	Datatype string `json:"datatype,omitempty"`
-}
-
-type jsonResults struct {
-	Head struct {
-		Vars []string `json:"vars"`
-	} `json:"head"`
-	Results *struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	} `json:"results,omitempty"`
-	Boolean *bool `json:"boolean,omitempty"`
-	// Truncated marks a 200 response whose bindings are a budget-cut
-	// prefix of the full solution set (docs/RESILIENCE.md). Absent on
-	// complete results.
-	Truncated bool `json:"truncated,omitempty"`
-}
-
 // updateParam extracts the SPARQL UPDATE request from a form field or a
 // raw application/sparql-update POST body, per the SPARQL 1.1 Protocol.
 func updateParam(r *http.Request) (string, error) {
@@ -620,9 +598,9 @@ func (h *Handler) sparql(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), errorStatus(err))
 		return
 	}
-	// One parse decides the response form: QueryCtx answers SELECT and
+	// One parse decides the response form: SelectCtx answers SELECT and
 	// ASK itself and reports a CONSTRUCT as ErrConstruct.
-	res, err := h.db.QueryCtx(r.Context(), src)
+	b, err := h.db.SelectCtx(r.Context(), src)
 	if errors.Is(err, rdfshapes.ErrConstruct) {
 		g, err := h.db.ConstructCtx(r.Context(), src)
 		if err != nil {
@@ -639,60 +617,17 @@ func (h *Handler) sparql(w http.ResponseWriter, r *http.Request) {
 		h.queryError(w, r, err)
 		return
 	}
-	if res.Ask {
-		ok := len(res.Rows) > 0
-		writeJSON(w, jsonResults{Boolean: &ok})
-		return
-	}
-	var out jsonResults
-	out.Head.Vars = res.Vars
-	out.Truncated = res.Truncated
-	if res.Truncated {
+	if b.Truncated && !b.Ask {
 		h.truncations.Add(1)
 	}
-	out.Results = &struct {
-		Bindings []map[string]jsonTerm `json:"bindings"`
-	}{Bindings: make([]map[string]jsonTerm, 0, len(res.Rows))}
-	for _, row := range res.Rows {
-		b := map[string]jsonTerm{}
-		for v, s := range row {
-			if s == "" {
-				continue // unbound OPTIONAL variable: omitted per spec
-			}
-			term, err := rdf.ParseTerm(s)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("internal: bad term %q: %v", s, err), http.StatusInternalServerError)
-				return
-			}
-			b[v] = toJSONTerm(term)
-		}
-		out.Results.Bindings = append(out.Results.Bindings, b)
-	}
-	writeJSON(w, out)
-}
-
-func toJSONTerm(t rdf.Term) jsonTerm {
-	switch t.Kind {
-	case rdf.IRI:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	case rdf.Blank:
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		jt := jsonTerm{Type: "literal", Value: t.Value, Lang: t.Lang}
-		if t.Lang == "" && t.Datatype != "" && t.Datatype != rdf.XSDString {
-			jt.Datatype = t.Datatype
-		}
-		return jt
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
-		// headers are already out; nothing more to do
-		return
+	if err := writeBindings(w, b); err != nil {
+		// The client went away mid-body. Encoding has already stopped;
+		// abort the connection so nothing downstream can frame the half
+		// document as a complete response. The deferred releases in
+		// govern run as the panic unwinds.
+		h.cancels.Add(1)
+		panic(http.ErrAbortHandler)
 	}
 }
 

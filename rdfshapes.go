@@ -27,8 +27,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -688,139 +686,11 @@ func (db *DB) Query(src string) (*Result, error) {
 // WithDefaultTimeout's) passes — so even a pathologically mis-planned
 // join is interrupted within microseconds of the signal.
 func (db *DB) QueryCtx(ctx context.Context, src string) (*Result, error) {
-	if err := db.begin(); err != nil {
-		return nil, err
-	}
-	defer db.end()
-	ctx, cancel := db.withTimeout(ctx)
-	defer cancel()
-	q, err := sparql.Parse(src)
+	b, err := db.SelectCtx(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	if len(q.Construct) > 0 {
-		return nil, ErrConstruct
-	}
-	v := db.viewCtx(ctx)
-	if q.Aggregate != nil {
-		return v.queryAggregate(src, q)
-	}
-	return v.queryParsed(src, q)
-}
-
-// queryUnion evaluates a top-level UNION: every branch is planned and
-// executed independently and the results are concatenated, then
-// DISTINCT, OFFSET, and LIMIT apply to the combined rows. SELECT *
-// projects the variables common to all branches.
-func (v view) queryUnion(src string, q *sparql.Query) (*Result, error) {
-	proj := q.Projection
-	if len(proj) == 0 {
-		proj = commonBranchVars(q)
-	}
-	var rows []map[string]string
-	var plans []string
-	truncated := false
-	for i := range q.UnionGroups {
-		bq := q.Branch(i)
-		bq.Projection = proj
-		bq.Distinct = false
-		bq.Limit = 0
-		bq.Offset = 0
-		plan := v.plan(bq)
-		plans = append(plans, plan.String())
-		opts := engine.Options{Filters: bq.Filters}
-		if q.Ask {
-			opts.Limit = 1 // one solution per branch settles an ASK
-		}
-		er, err := v.exec(src, plan, opts)
-		if err != nil {
-			return nil, err
-		}
-		branchRows, err := engine.Materialize(v.snap, bq, er)
-		if err != nil {
-			return nil, err
-		}
-		truncated = truncated || er.Truncated
-		rows = append(rows, branchRows...)
-	}
-	rows = applyRowModifiers(rows, proj, q.Distinct, q.Offset, q.Limit)
-	return &Result{Vars: proj, Rows: rows, Plan: strings.Join(plans, ""), Truncated: truncated, Ask: q.Ask}, nil
-}
-
-// queryAggregate evaluates a COUNT projection.
-func (v view) queryAggregate(src string, q *sparql.Query) (*Result, error) {
-	agg := q.Aggregate
-	row := map[string]string{}
-	if agg.Var == "" && !q.Distinct {
-		// COUNT(*): counting needs no materialization
-		n, truncated, err := v.countSolutions(src, q)
-		if err != nil {
-			return nil, err
-		}
-		row[agg.As] = rdf.NewInteger(n).String()
-		return &Result{Vars: []string{agg.As}, Rows: []map[string]string{row}, Truncated: truncated}, nil
-	}
-	// COUNT(?v) / COUNT(DISTINCT ?v): materialize the counted column
-	inner := q.Clone()
-	inner.Aggregate = nil
-	inner.Distinct = false
-	inner.Limit = 0
-	inner.Offset = 0
-	if agg.Var != "" {
-		inner.Projection = []string{agg.Var}
-	} else {
-		inner.Projection = nil
-	}
-	res, err := v.queryParsed(src, inner)
-	if err != nil {
-		return nil, err
-	}
-	var n int64
-	seen := map[string]bool{}
-	for _, r := range res.Rows {
-		if agg.Var != "" {
-			v := r[agg.Var]
-			if v == "" {
-				continue // unbound values are not counted
-			}
-			if agg.Distinct {
-				if seen[v] {
-					continue
-				}
-				seen[v] = true
-			}
-		}
-		n++
-	}
-	row[agg.As] = rdf.NewInteger(n).String()
-	return &Result{Vars: []string{agg.As}, Rows: []map[string]string{row}, Plan: res.Plan, Truncated: res.Truncated}, nil
-}
-
-// queryParsed runs an already-parsed non-aggregate query; src is the
-// original query text, carried for trace attribution. An ASK stops at
-// its first solution.
-func (v view) queryParsed(src string, q *sparql.Query) (*Result, error) {
-	if len(q.UnionGroups) > 0 {
-		return v.queryUnion(src, q)
-	}
-	plan := v.plan(q)
-	opts := engine.Options{Filters: q.Filters, Optionals: q.Optionals, OptionalFilters: q.OptionalFilters}
-	if q.Ask {
-		opts.Limit = 1
-	}
-	er, err := v.exec(src, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := engine.Materialize(v.snap, q, er)
-	if err != nil {
-		return nil, err
-	}
-	proj := q.Projection
-	if len(proj) == 0 {
-		proj = q.AllVars()
-	}
-	return &Result{Vars: proj, Rows: rows, Plan: plan.String(), Truncated: er.Truncated, Ask: q.Ask}, nil
+	return &Result{Vars: b.Vars, Rows: b.Maps(), Plan: b.Plan, Truncated: b.Truncated, Ask: b.Ask}, nil
 }
 
 // countSolutions counts solutions of the (possibly UNION) BGP with its
@@ -892,43 +762,6 @@ func contains(xs []string, v string) bool {
 	return false
 }
 
-// applyRowModifiers applies DISTINCT, OFFSET, and LIMIT to materialized
-// rows (used for UNION results, where branches materialize separately).
-func applyRowModifiers(rows []map[string]string, proj []string, distinct bool, offset, limit int) []map[string]string {
-	var out []map[string]string
-	seen := map[string]bool{}
-	var keyBuf []byte
-	skipped := 0
-	for _, r := range rows {
-		if distinct {
-			// Length-prefix every field: rendered terms may contain any
-			// byte (blank-node labels are not escaped), so no separator
-			// is collision-free on its own.
-			keyBuf = keyBuf[:0]
-			for _, v := range proj {
-				s := r[v]
-				keyBuf = strconv.AppendInt(keyBuf, int64(len(s)), 10)
-				keyBuf = append(keyBuf, ':')
-				keyBuf = append(keyBuf, s...)
-			}
-			key := string(keyBuf)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		if skipped < offset {
-			skipped++
-			continue
-		}
-		out = append(out, r)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
-	return out
-}
-
 // Ask answers an ASK query (or any query treated as an existence check):
 // true iff the BGP with its filters has at least one match.
 func (db *DB) Ask(src string) (bool, error) {
@@ -948,17 +781,15 @@ func (db *DB) AskCtx(ctx context.Context, src string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	v := db.viewCtx(ctx)
-	if len(q.UnionGroups) > 0 {
-		n, _, err := v.countSolutions(src, q)
-		return n > 0, err
-	}
-	plan := v.plan(q)
-	er, err := v.exec(src, plan, engine.Options{Filters: q.Filters, Optionals: q.Optionals, OptionalFilters: q.OptionalFilters, Limit: 1})
+	// Whatever form the query has, only its pattern is asked about.
+	q.Ask = true
+	q.Construct, q.Aggregate, q.Projection, q.OrderBy = nil, nil, nil, nil
+	q.Distinct, q.Offset, q.Limit = false, 0, 0
+	b, err := db.viewCtx(ctx).selectParsed(src, q)
 	if err != nil {
 		return false, err
 	}
-	return er.Count > 0, nil
+	return len(b.Rows) > 0, nil
 }
 
 // Count executes the query and returns the number of filtered results
@@ -1018,59 +849,34 @@ func (db *DB) EstimateCount(src string) (float64, error) {
 }
 
 // QueryEach calls fn with each projected binding map of a SELECT query,
-// in result order, until fn returns false. The result set is
-// materialized before the first call; what QueryEach saves over Query is
-// engine work, by pushing LIMIT into execution so enumeration stops at
-// the limit. Solution modifiers that need the whole result (DISTINCT,
-// ORDER BY, OFFSET) and the UNION/aggregate forms get no such push-down
-// and go through Query.
+// in result order, until fn returns false; each map is rendered only when
+// its turn comes. A plain LIMIT is pushed into execution, so enumeration
+// stops at the limit; solution modifiers that need the whole result
+// (DISTINCT, ORDER BY, OFFSET) and the UNION/aggregate forms get no such
+// push-down.
 func (db *DB) QueryEach(src string, fn func(row map[string]string) bool) error {
 	if err := db.begin(); err != nil {
 		return err
 	}
 	defer db.end()
+	ctx, cancel := db.withTimeout(context.Background())
+	defer cancel()
 	q, err := sparql.Parse(src)
 	if err != nil {
 		return err
 	}
-	if q.Distinct || len(q.OrderBy) > 0 || q.Offset > 0 ||
+	v := db.viewCtx(ctx)
+	var b *Bindings
+	if q.Distinct || len(q.OrderBy) > 0 || q.Offset > 0 || q.Ask ||
 		len(q.UnionGroups) > 0 || q.Aggregate != nil || len(q.Construct) > 0 {
-		res, err := db.Query(src)
-		if err != nil {
-			return err
-		}
-		for _, row := range res.Rows {
-			if !fn(row) {
-				return nil
-			}
-		}
-		return nil
+		b, err = v.selectParsed(src, q)
+	} else {
+		b, err = v.selectBGP(src, q, q.Limit)
 	}
-	v := db.view()
-	plan := v.plan(q)
-	proj := q.Projection
-	if len(proj) == 0 {
-		proj = q.AllVars()
-	}
-	// Materialize keeps the engine's result order, so a limited run is
-	// enough; budget still applies.
-	er, err := v.exec(src, plan, engine.Options{
-		Filters:   q.Filters,
-		Optionals: q.Optionals, OptionalFilters: q.OptionalFilters,
-		Limit: q.Limit,
-	})
 	if err != nil {
 		return err
 	}
-	rows, err := engine.Materialize(v.snap, q, er)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if !fn(row) {
-			return nil
-		}
-	}
+	b.solutions().Each(b.Term, fn)
 	return nil
 }
 
@@ -1104,14 +910,18 @@ func (db *DB) ConstructCtx(ctx context.Context, src string) (rdf.Graph, error) {
 	inner.Construct = nil
 	inner.Projection = nil // bind everything the template may need
 	inner.Distinct = false
-	res, err := db.viewCtx(ctx).queryParsed(src, inner)
+	b, err := db.viewCtx(ctx).selectParsed(src, inner)
 	if err != nil {
 		return nil, err
+	}
+	col := map[string]int{}
+	for i, v := range b.Vars {
+		col[v] = b.Cols[i]
 	}
 
 	var out rdf.Graph
 	seen := map[rdf.Triple]bool{}
-	for rowNo, row := range res.Rows {
+	for rowNo, row := range b.Rows {
 		resolve := func(pt sparql.PatternTerm) (rdf.Term, bool) {
 			if !pt.IsVar() {
 				if pt.Term.IsBlank() {
@@ -1120,15 +930,11 @@ func (db *DB) ConstructCtx(ctx context.Context, src string) (rdf.Graph, error) {
 				}
 				return pt.Term, true
 			}
-			s, ok := row[pt.Var]
-			if !ok || s == "" {
+			c, ok := col[pt.Var]
+			if !ok || row[c] == 0 {
 				return rdf.Term{}, false
 			}
-			term, err := rdf.ParseTerm(s)
-			if err != nil {
-				return rdf.Term{}, false
-			}
-			return term, true
+			return b.Term(row[c]), true
 		}
 		for _, tmpl := range q.Construct {
 			s, ok := resolve(tmpl.S)

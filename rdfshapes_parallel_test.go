@@ -4,35 +4,54 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"rdfshapes/internal/rdf"
 )
 
-// TestApplyRowModifiersDistinctNoCollision is the UNION-dedup regression
-// test: rendered terms can contain any byte (blank-node labels are not
-// escaped), so the old "\x00"-joined keys collided the two distinct rows
-// below — both produced "_:b\x00_:c\x00\x00". Length-prefixed keys keep
-// them apart.
-func TestApplyRowModifiersDistinctNoCollision(t *testing.T) {
-	rows := []map[string]string{
-		{"x": "_:b\x00_:c", "y": ""},
-		{"x": "_:b", "y": "_:c\x00"},
+const unionDistinctQuery = `SELECT DISTINCT ?x ?y WHERE { { ?x <http://x/p1> ?y } UNION { ?x <http://x/p2> ?y } }`
+
+// TestUnionDistinctNoCollision is the UNION-dedup regression test:
+// rendered terms can contain any byte (blank-node labels are not
+// escaped), so string keys joined on a separator collided the two
+// distinct rows below — both read "_:b\x00_:c\x00\"\"". UNION rows are
+// deduplicated on their ID tuples, which cannot collide.
+func TestUnionDistinctNoCollision(t *testing.T) {
+	db, err := Load(rdf.Graph{
+		{S: rdf.NewBlank("b\x00_:c"), P: rdf.NewIRI("http://x/p1"), O: rdf.NewLiteral("")},
+		{S: rdf.NewBlank("b"), P: rdf.NewIRI("http://x/p2"), O: rdf.NewBlank("c\x00\"\"")},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := applyRowModifiers(rows, []string{"x", "y"}, true, 0, 0)
-	if len(out) != 2 {
-		t.Fatalf("DISTINCT collapsed %d distinct rows to %d — separator collision", len(rows), len(out))
+	defer db.Close()
+	res, err := db.Query(unionDistinctQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("DISTINCT collapsed 2 distinct rows to %d — separator collision", len(res.Rows))
 	}
 }
 
-// TestApplyRowModifiersDistinctStillDedupes pins that genuinely equal
-// rows still collapse after the key change.
-func TestApplyRowModifiersDistinctStillDedupes(t *testing.T) {
-	rows := []map[string]string{
-		{"x": "<http://x/a>", "y": `"v"`},
-		{"x": "<http://x/a>", "y": `"v"`},
-		{"x": "<http://x/a>", "y": `"w"`},
+// TestUnionDistinctStillDedupes pins that genuinely equal rows from
+// different branches still collapse.
+func TestUnionDistinctStillDedupes(t *testing.T) {
+	a, v, w := rdf.NewIRI("http://x/a"), rdf.NewLiteral("v"), rdf.NewLiteral("w")
+	db, err := Load(rdf.Graph{
+		{S: a, P: rdf.NewIRI("http://x/p1"), O: v},
+		{S: a, P: rdf.NewIRI("http://x/p2"), O: v},
+		{S: a, P: rdf.NewIRI("http://x/p2"), O: w},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := applyRowModifiers(rows, []string{"x", "y"}, true, 0, 0)
-	if len(out) != 2 {
-		t.Fatalf("rows = %d, want 2", len(out))
+	defer db.Close()
+	res, err := db.Query(unionDistinctQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2", len(res.Rows))
 	}
 }
 
