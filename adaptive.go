@@ -49,6 +49,13 @@ const (
 	adaptiveMinSamples = 3
 	// templateLabelMax caps the template text used as a metric label.
 	templateLabelMax = 200
+	// MaxAdaptiveTemplates caps the number of templates tracked at once,
+	// and with it the plan cache's heap and the {template} metric series:
+	// a client cycling query shapes cannot grow either without bound.
+	// Templates first seen past the cap are planned uncached and counted
+	// in DB.AdaptiveOverflow. Real logs hold tens of templates; the cap
+	// is there for the client that is not a real log.
+	MaxAdaptiveTemplates = 1024
 )
 
 // WithAdaptiveReplan enables adaptive re-optimization: query plans are
@@ -57,9 +64,10 @@ const (
 // rolling window, and when the window median exceeds threshold the
 // cached plan is invalidated and re-planned against current statistics.
 // threshold must be > 1 (q-error is ≥ 1 by construction); values ≤ 1
-// leave the feature disabled. Progress is observable as
-// rdfshapes_adaptive_replans_total and rdfshapes_template_qerror in
-// /metrics, and programmatically via DB.AdaptiveTemplates.
+// leave the feature disabled. At most MaxAdaptiveTemplates templates are
+// tracked. Progress is observable as rdfshapes_adaptive_replans_total and
+// rdfshapes_template_qerror in /metrics, and programmatically via
+// DB.AdaptiveTemplates.
 func WithAdaptiveReplan(threshold float64) Option {
 	return func(c *config) { c.adaptiveAt = threshold }
 }
@@ -91,7 +99,8 @@ type adaptive struct {
 	cooldown  time.Duration
 	now       func() time.Time // injectable for tests
 
-	total atomic.Int64 // replans across all templates
+	total    atomic.Int64 // replans across all templates
+	overflow atomic.Int64 // plans served uncached because entries was full
 
 	mu      sync.Mutex
 	entries map[string]*templateEntry
@@ -223,6 +232,11 @@ func (a *adaptive) plan(q *sparql.Query, est cardinality.Estimator) *core.Plan {
 	a.mu.Lock()
 	e := a.entries[key]
 	if e == nil {
+		if len(a.entries) >= MaxAdaptiveTemplates {
+			a.mu.Unlock()
+			a.overflow.Add(1)
+			return core.Optimize(q, est)
+		}
 		e = &templateEntry{label: label}
 		a.entries[key] = e
 	}
@@ -352,6 +366,16 @@ func (db *DB) AdaptiveReplans() int64 {
 		return 0
 	}
 	return db.adaptive.total.Load()
+}
+
+// AdaptiveOverflow returns the number of queries planned uncached
+// because MaxAdaptiveTemplates templates were already tracked (0 when
+// the feature is disabled).
+func (db *DB) AdaptiveOverflow() int64 {
+	if db.adaptive == nil {
+		return 0
+	}
+	return db.adaptive.overflow.Load()
 }
 
 // AdaptiveTemplates returns a snapshot of every tracked template's

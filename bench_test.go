@@ -7,6 +7,7 @@ package rdfshapes_test
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -359,6 +360,53 @@ func BenchmarkStoreScan(b *testing.B) {
 		st.Scan(store.IDTriple{P: pred}, func(store.IDTriple) bool {
 			n++
 			return true
+		})
+	}
+}
+
+// BenchmarkStoreProbe measures one nested-loop index probe — resolve a
+// pattern with two or three bound positions and walk its (short) range —
+// per bound shape, over the benchmark rig's dataset (LUBM scale 5, seed
+// 7). Keys are drawn once from triples of the store, so every probe hits.
+func BenchmarkStoreProbe(b *testing.B) {
+	st := store.Load(lubm.Generate(lubm.Config{Universities: 5, Seed: 7}))
+	all := st.Range(store.IDTriple{})
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]store.IDTriple, 1<<12)
+	for i := range keys {
+		keys[i] = all[rng.Intn(len(all))]
+	}
+	for _, c := range []struct {
+		name    string
+		s, p, o bool
+	}{
+		{"s_p", true, true, false},
+		{"p_o", false, true, true},
+		{"s_o", true, false, true},
+		{"s_p_o", true, true, true},
+	} {
+		pats := make([]store.IDTriple, len(keys))
+		for i, k := range keys {
+			if c.s {
+				pats[i].S = k.S
+			}
+			if c.p {
+				pats[i].P = k.P
+			}
+			if c.o {
+				pats[i].O = k.O
+			}
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			count := func(store.IDTriple) bool { rows++; return true }
+			for i := 0; i < b.N; i++ {
+				st.Scan(pats[i&(len(pats)-1)], count)
+			}
+			if rows < b.N {
+				b.Fatalf("%d probes matched %d rows", b.N, rows)
+			}
 		})
 	}
 }

@@ -342,6 +342,7 @@ func Run(st Source, patterns []sparql.TriplePattern, opts Options) (*Result, err
 		if ms, ok := slots[opts.MergeVar]; ok {
 			if mj, ok := newMergeJoin(exec, opts.MergeWidth, ms); ok {
 				res.MergeWidth = opts.MergeWidth
+				exec.prepare()
 				if err := mj.run(); err != nil {
 					return nil, err
 				}
@@ -363,6 +364,7 @@ func Run(st Source, patterns []sparql.TriplePattern, opts Options) (*Result, err
 		}
 		return finish(res)
 	}
+	exec.prepare()
 	exec.level(0)
 	if exec.ctxErr != nil {
 		return nil, CtxError(exec.ctxErr)
@@ -409,6 +411,9 @@ type executor struct {
 	groupEmpty   []bool               // group references a term absent from the data
 	groupFilters [][][]compiledFilter // per group, per group level: group-scoped filters
 	filters      [][]compiledFilter   // per required level, applied once bound
+	levels       []level              // per required pattern; see prepare
+	groupLevels  [][]level            // per group, per group pattern
+	matched      []bool               // per group: the current solution found a group match
 	row          []store.ID
 	res          *Result
 	opts         Options
@@ -498,21 +503,58 @@ func (e *executor) emit() {
 	}
 }
 
+// level is one nested-loop level: a pattern, its filters and what a
+// surviving binding continues into. The scan body and the continuation
+// are closures built once (prepare), and what one probe adds to them —
+// which positions it binds — lives here rather than in a fresh closure,
+// so a probe allocates nothing. That is sound because a level is never
+// re-entered while it is on the stack: required levels and a group's
+// levels only ever call deeper ones.
+type level struct {
+	e       *executor
+	cp      compiledPattern
+	filters []compiledFilter
+	cont    func()                    // the next level, group or emit
+	body    func(store.IDTriple) bool // level.row as a func value
+
+	newS, newP, newO bool // positions the probe in progress binds
+}
+
+// prepare builds the executor's levels. Every executor that runs levels
+// — the serial one, the merge join's, each parallel worker's — calls it
+// once before the first probe.
+func (e *executor) prepare() {
+	e.levels = make([]level, len(e.compiled))
+	for i := range e.levels {
+		e.levels[i] = level{e: e, cp: e.compiled[i], filters: e.filters[i], cont: func() {
+			if e.countIntermediate(i) {
+				e.level(i + 1)
+			}
+		}}
+		e.levels[i].body = e.levels[i].row
+	}
+	e.groupLevels = make([][]level, len(e.groups))
+	e.matched = make([]bool, len(e.groups))
+	for g, group := range e.groups {
+		ls := make([]level, len(group))
+		for i := range ls {
+			ls[i] = level{e: e, cp: group[i], filters: e.groupFilters[g][i], cont: func() { e.groupLevel(g, i+1) }}
+			ls[i].body = ls[i].row
+		}
+		e.groupLevels[g] = ls
+	}
+}
+
 // level evaluates required pattern i under the current partial binding.
 func (e *executor) level(i int) {
 	if e.stopped {
 		return
 	}
-	if i == len(e.compiled) {
+	if i == len(e.levels) {
 		e.optional(0)
 		return
 	}
-	e.scan(e.compiled[i], e.filters[i], func() {
-		if !e.countIntermediate(i) {
-			return
-		}
-		e.level(i + 1)
-	})
+	e.levels[i].scan()
 }
 
 // countIntermediate charges one binding to required level i and reports
@@ -590,108 +632,108 @@ func (e *executor) optional(g int) {
 		e.emit()
 		return
 	}
-	matched := false
+	e.matched[g] = false
 	if !e.groupEmpty[g] {
-		e.groupLevel(g, 0, func() {
-			matched = true
-			e.optional(g + 1)
-		})
+		e.groupLevel(g, 0)
 	}
-	if !matched && !e.stopped {
+	if !e.matched[g] && !e.stopped {
 		// no match: keep the solution once, group variables unbound
 		e.optional(g + 1)
 	}
 }
 
-// groupLevel evaluates pattern i of OPTIONAL group g, calling cont for
-// every complete group match. Group-scoped filters are applied at their
-// level: a failing filter rejects this group match only, so the
+// groupLevel evaluates pattern i of OPTIONAL group g; a complete group
+// match continues into the next group. Group-scoped filters are applied
+// at their level: a failing filter rejects this group match only, so the
 // enclosing solution survives with the group unbound.
-func (e *executor) groupLevel(g, i int, cont func()) {
+func (e *executor) groupLevel(g, i int) {
 	if e.stopped {
 		return
 	}
-	group := e.groups[g]
-	if i == len(group) {
-		cont()
+	if i == len(e.groupLevels[g]) {
+		e.matched[g] = true
+		e.optional(g + 1)
 		return
 	}
-	e.scan(group[i], e.groupFilters[g][i], func() {
-		e.groupLevel(g, i+1, cont)
-	})
+	e.groupLevels[g][i].scan()
 }
 
-// scan enumerates the matches of cp under the current binding, applying
-// filters, and calls cont with the extended binding.
-func (e *executor) scan(cp compiledPattern, filters []compiledFilter, cont func()) {
+// scan enumerates the matches of the level's pattern under the current
+// binding; row extends the binding with each.
+func (l *level) scan() {
+	e, cp := l.e, l.cp
 	pat := store.IDTriple{S: cp.constS, P: cp.constP, O: cp.constO}
 	// Positions whose variable is already bound become constants; the
 	// ones bound by this scan are recorded so they can be unbound again.
-	var newS, newP, newO bool
+	l.newS, l.newP, l.newO = false, false, false
 	if cp.slotS >= 0 {
 		if v := e.row[cp.slotS]; v != 0 {
 			pat.S = v
 		} else {
-			newS = true
+			l.newS = true
 		}
 	}
 	if cp.slotP >= 0 {
 		if v := e.row[cp.slotP]; v != 0 {
 			pat.P = v
 		} else {
-			newP = true
+			l.newP = true
 		}
 	}
 	if cp.slotO >= 0 {
 		if v := e.row[cp.slotO]; v != 0 {
 			pat.O = v
 		} else {
-			newO = true
+			l.newO = true
 		}
-	}
-	body := func(t store.IDTriple) bool {
-		if !e.visit() {
-			return false
-		}
-		// Bind the new positions, checking intra-pattern repeats such as
-		// <?x p ?x>: the same slot may be "new" in two positions, in
-		// which case the second occurrence must agree with the first.
-		if newS {
-			e.row[cp.slotS] = t.S
-		}
-		if newP {
-			if prev := e.row[cp.slotP]; prev != 0 && prev != t.P {
-				e.unbind(cp, newS, false, false)
-				return true
-			}
-			e.row[cp.slotP] = t.P
-		}
-		if newO {
-			if prev := e.row[cp.slotO]; prev != 0 && prev != t.O {
-				e.unbind(cp, newS, newP, false)
-				return true
-			}
-			e.row[cp.slotO] = t.O
-		}
-		for _, f := range filters {
-			if !f.eval(e.row) {
-				e.unbind(cp, newS, newP, newO)
-				return true
-			}
-		}
-		cont()
-		e.unbind(cp, newS, newP, newO)
-		return !e.stopped
 	}
 	if chunk := e.chunk; chunk != nil {
 		// Parallel driver level: enumerate this worker's morsel instead
 		// of the full index range. Consumed here so nested levels scan
 		// normally.
 		e.chunk = nil
-		chunk(body)
+		chunk(l.body)
 		return
 	}
-	e.st.Scan(pat, body)
+	e.st.Scan(pat, l.body)
+}
+
+// row is the scan body: it charges the visit, binds t's new positions,
+// applies the level's filters and continues; false stops the scan.
+func (l *level) row(t store.IDTriple) bool {
+	e, cp := l.e, l.cp
+	if !e.visit() {
+		return false
+	}
+	// Bind the new positions, checking intra-pattern repeats such as
+	// <?x p ?x>: the same slot may be "new" in two positions, in
+	// which case the second occurrence must agree with the first.
+	if l.newS {
+		e.row[cp.slotS] = t.S
+	}
+	if l.newP {
+		if prev := e.row[cp.slotP]; prev != 0 && prev != t.P {
+			e.unbind(cp, l.newS, false, false)
+			return true
+		}
+		e.row[cp.slotP] = t.P
+	}
+	if l.newO {
+		if prev := e.row[cp.slotO]; prev != 0 && prev != t.O {
+			e.unbind(cp, l.newS, l.newP, false)
+			return true
+		}
+		e.row[cp.slotO] = t.O
+	}
+	for _, f := range l.filters {
+		if !f.eval(e.row) {
+			e.unbind(cp, l.newS, l.newP, l.newO)
+			return true
+		}
+	}
+	l.cont()
+	e.unbind(cp, l.newS, l.newP, l.newO)
+	return !e.stopped
 }
 
 func (e *executor) unbind(cp compiledPattern, s, p, o bool) {

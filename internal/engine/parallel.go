@@ -134,6 +134,7 @@ func runParallel(st ChunkedSource, tmpl *executor, res *Result) error {
 				ctx:          tmpl.ctx,
 				sh:           sh,
 			}
+			e.prepare()
 			for !sh.stop.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(chunks) {

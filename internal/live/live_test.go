@@ -408,3 +408,68 @@ func TestConcurrentReadersWritersNoTornBatches(t *testing.T) {
 	auxWG.Wait()
 	ls.Wait()
 }
+
+// TestProbeTermInternedAfterFreeze: a committed triple whose subject and
+// object the dictionary first saw after the base was frozen carries IDs
+// past the base's run offset tables. Every bound-shape probe of it must
+// find it in the overlay (and nothing in the base) before compaction,
+// and in the rebuilt base after.
+func TestProbeTermInternedAfterFreeze(t *testing.T) {
+	ls := Wrap(baseStore(triple("a", "p", "b"), triple("a", "q", "c")))
+	ls.Apply(Batch{Insert: []rdf.Triple{triple("fresh", "p", "alsofresh")}})
+
+	d := ls.Snapshot().Dict()
+	id := func(name string) store.ID {
+		v, ok := d.Lookup(iri(name))
+		if !ok {
+			t.Fatalf("%s not interned", name)
+		}
+		return v
+	}
+	want := store.IDTriple{S: id("fresh"), P: id("p"), O: id("alsofresh")}
+	for _, tr := range ls.Snapshot().Base().Range(store.IDTriple{}) {
+		if max(tr.S, tr.P, tr.O) >= min(want.S, want.O) {
+			t.Fatalf("base triple %v reaches the fresh IDs %d, %d", tr, want.S, want.O)
+		}
+	}
+	check := func(when string, snap *Snapshot) {
+		t.Helper()
+		for mask := 1; mask < 8; mask++ {
+			var pat store.IDTriple
+			if mask&1 != 0 {
+				pat.S = want.S
+			}
+			if mask&2 != 0 {
+				pat.P = want.P
+			}
+			if mask&4 != 0 {
+				pat.O = want.O
+			}
+			var got []store.IDTriple
+			snap.Scan(pat, func(tr store.IDTriple) bool {
+				if tr.S == want.S {
+					got = append(got, tr)
+				}
+				return true
+			})
+			if len(got) != 1 || got[0] != want {
+				t.Errorf("%s: Scan(%v) found %v of the fresh subject, want %v", when, pat, got, want)
+			}
+			if n := snap.Count(pat); mask != 2 && n != 1 {
+				t.Errorf("%s: Count(%v) = %d, want 1", when, pat, n)
+			}
+		}
+		if !snap.Contains(want) {
+			t.Errorf("%s: Contains(%v) = false", when, want)
+		}
+	}
+	check("overlay", ls.Snapshot())
+	compacted, err := ls.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, del := compacted.Overlay(); a != 0 || del != 0 {
+		t.Fatalf("overlay +%d/-%d after Compact", a, del)
+	}
+	check("compacted", compacted)
+}

@@ -239,3 +239,47 @@ func TestAdaptiveMetricsExposed(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveTemplatesCapped: a client cycling through ten times
+// MaxAdaptiveTemplates query shapes gets every answer right while the
+// tracked templates — and the {template} series they put in /metrics —
+// stop at the cap; the rest are planned uncached and counted.
+func TestAdaptiveTemplatesCapped(t *testing.T) {
+	const shapes = 10 * rdfshapes.MaxAdaptiveTemplates
+	var nt strings.Builder
+	for i := 0; i < shapes; i++ {
+		fmt.Fprintf(&nt, "<http://x/s%d> <http://x/p%d> <http://x/o%d> .\n", i, i, i)
+	}
+	db, err := rdfshapes.LoadNTriples(strings.NewReader(nt.String()), rdfshapes.WithAdaptiveReplan(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(New(db))
+	t.Cleanup(func() { srv.Close(); db.Close() })
+
+	// Predicates are structural, so each query is its own template.
+	for round := 0; round < 2; round++ {
+		for i := 0; i < shapes; i++ {
+			rows, err := db.Query(fmt.Sprintf("SELECT ?s ?o WHERE { ?s <http://x/p%d> ?o }", i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf("<http://x/o%d>", i); len(rows.Rows) != 1 || rows.Rows[0]["o"] != want {
+				t.Fatalf("round %d, shape %d: answered %v, want one row with ?o = %s", round, i, rows.Rows, want)
+			}
+		}
+	}
+	if n := len(db.AdaptiveTemplates()); n != rdfshapes.MaxAdaptiveTemplates {
+		t.Errorf("%d templates tracked, want the cap %d", n, rdfshapes.MaxAdaptiveTemplates)
+	}
+	if got, want := db.AdaptiveOverflow(), int64(2*(shapes-rdfshapes.MaxAdaptiveTemplates)); got != want {
+		t.Errorf("AdaptiveOverflow = %d, want %d", got, want)
+	}
+	body := metricsBody(t, srv.URL)
+	if n := strings.Count(body, obsv.MetricTemplateQError+"{"); n == 0 || n > rdfshapes.MaxAdaptiveTemplates {
+		t.Errorf("%d %s series, want 1..%d", n, obsv.MetricTemplateQError, rdfshapes.MaxAdaptiveTemplates)
+	}
+	if want := fmt.Sprintf("rdfshapes_adaptive_overflow_total %d", db.AdaptiveOverflow()); !strings.Contains(body, want) {
+		t.Errorf("metrics missing %q", want)
+	}
+}

@@ -320,8 +320,9 @@ func TestVanishedClientStopsEncoding(t *testing.T) {
 
 // BenchmarkSparqlHandler times the whole handler — admission, parse,
 // plan, execute, encode — on a recorder, over the benchmark rig's
-// dataset and parallelism, for one small answer and four join answers of
-// 10² to 10⁴·⁵ rows.
+// dataset and parallelism, for one small answer, four join answers of
+// 10² to 10⁴·⁵ rows whose cost is merge and encoding, and two (C1, Q2)
+// whose cost is nested-loop index probes.
 func BenchmarkSparqlHandler(b *testing.B) {
 	db, err := rdfshapes.Load(lubm.Generate(lubm.Config{Universities: 5, Seed: 7}),
 		rdfshapes.WithShapesGraph(lubm.Shapes()), rdfshapes.WithParallelism(2))
@@ -335,7 +336,7 @@ func BenchmarkSparqlHandler(b *testing.B) {
 		Text: `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
 			SELECT ?n ?u WHERE { <http://www.lubm.example/U0/Dept0> ub:name ?n . <http://www.lubm.example/U0/Dept0> ub:subOrganizationOf ?u }`,
 	}}
-	for _, name := range []string{"Q9", "S2", "C0", "S3"} {
+	for _, name := range []string{"Q9", "S2", "C0", "S3", "C1", "Q2"} {
 		wq, ok := workloads.ByName(workloads.LUBM(), name)
 		if !ok {
 			b.Fatalf("no LUBM workload query %s", name)

@@ -198,6 +198,9 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 		h.obs.RegisterGauge("rdfshapes_adaptive_templates",
 			"Query templates tracked by the adaptive replan layer.",
 			func() float64 { return float64(len(db.AdaptiveTemplates())) })
+		h.obs.RegisterCounter("rdfshapes_adaptive_overflow_total",
+			"Queries planned uncached because the adaptive replan layer already tracked its maximum number of templates.",
+			func() float64 { return float64(db.AdaptiveOverflow()) })
 		h.obs.RegisterGaugeVec(obsv.MetricTemplateQError,
 			"Rolling median observed q-error per query template (complete executions since the template's last replan).",
 			"template",

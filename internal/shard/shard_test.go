@@ -469,6 +469,51 @@ func TestPruningCounters(t *testing.T) {
 	}
 }
 
+// TestSingleRunScanDirect pins the single-run path of View.Scan — what a
+// subject-bound nested-loop probe takes: it allocates nothing, charges
+// every row handed to fn (the one that stops the scan included) to the
+// owning shard alone, and counts the other shards as ownership-pruned.
+func TestSingleRunScanDirect(t *testing.T) {
+	st := store.Load(seedGraph())
+	g, err := New(st, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.Snapshot()
+	p4, ok := st.Dict().Lookup(iri("p4"))
+	if !ok {
+		t.Fatal("p4 not in the dictionary")
+	}
+	pat := store.IDTriple{S: p4}
+	want := st.Count(pat) // type, name, knows
+	total := func() (n int64) {
+		for _, r := range g.RowsScanned() {
+			n += r
+		}
+		return n
+	}
+
+	rows0, own0 := total(), first(g.Pruned())
+	if got := len(collect(v.Scan, pat)); got != want {
+		t.Fatalf("full scan: %d rows, want %d", got, want)
+	}
+	v.Scan(pat, func(store.IDTriple) bool { return false })
+	if d := total() - rows0; d != int64(want)+1 {
+		t.Errorf("RowsScanned moved by %d, want %d (a full scan and one stopped at its first row)", d, want+1)
+	}
+	if d := first(g.Pruned()) - own0; d != 6 {
+		t.Errorf("ownership pruned moved by %d, want 6 (3 shards, twice)", d)
+	}
+
+	n := 0
+	count := func(store.IDTriple) bool { n++; return true }
+	if allocs := testing.AllocsPerRun(100, func() { v.Scan(pat, count) }); allocs != 0 {
+		t.Errorf("subject-bound scan allocates %v objects, want 0", allocs)
+	}
+}
+
+func first(a, _ int64) int64 { return a }
+
 // TestRemoteRoundTrip exercises the shard-over-HTTP stub: a Handler
 // over a group view, a Remote interning into a fresh dictionary, and
 // term-identical results for wildcard and bound patterns.

@@ -83,10 +83,7 @@ func (v *View) ShardStats() []live.Stats { return v.stats }
 func (v *View) relevant(pat store.IDTriple) []int {
 	n := len(v.snaps)
 	if pat.S != 0 {
-		if n > 1 {
-			v.g.prunedOwnership.Add(int64(n - 1))
-		}
-		return []int{v.g.owner(pat.S)}
+		return []int{v.subjectOwner(pat.S)}
 	}
 	idxs := make([]int, 0, n)
 	var predIRI, classIRI string
@@ -120,6 +117,15 @@ func (v *View) relevant(pat store.IDTriple) []int {
 	return idxs
 }
 
+// subjectOwner returns the one shard that can hold triples of subject s,
+// charging the others to the ownership-pruning counter.
+func (v *View) subjectOwner(s store.ID) int {
+	if n := len(v.snaps); n > 1 {
+		v.g.prunedOwnership.Add(int64(n - 1))
+	}
+	return v.g.owner(s)
+}
+
 // cursor walks one sorted run (a base or overlay-additions range of one
 // shard), skipping rows masked by the shard's deletion fragment.
 type cursor struct {
@@ -141,17 +147,28 @@ func (c *cursor) skipDeleted(counts []int64) {
 	}
 }
 
-// cursors collects the sorted runs of pat over the relevant shards.
-func (v *View) cursors(pat store.IDTriple) []cursor {
-	var cs []cursor
+// cursors appends the sorted runs of pat over the relevant shards to cs.
+// A subject-bound pattern — every inner nested-loop probe — has at most
+// two, its owner's, so a caller's two-element buffer keeps the probe off
+// the heap.
+func (v *View) cursors(pat store.IDTriple, cs []cursor) []cursor {
+	if pat.S != 0 {
+		return v.shardCursors(v.subjectOwner(pat.S), pat, cs)
+	}
 	for _, i := range v.relevant(pat) {
-		base, added, del := v.snaps[i].Ranges(pat)
-		if len(base) > 0 {
-			cs = append(cs, cursor{rows: base, del: del, shard: i})
-		}
-		if len(added) > 0 {
-			cs = append(cs, cursor{rows: added, shard: i})
-		}
+		cs = v.shardCursors(i, pat, cs)
+	}
+	return cs
+}
+
+// shardCursors appends shard i's non-empty runs of pat to cs.
+func (v *View) shardCursors(i int, pat store.IDTriple, cs []cursor) []cursor {
+	base, added, del := v.snaps[i].Ranges(pat)
+	if len(base) > 0 {
+		cs = append(cs, cursor{rows: base, del: del, shard: i})
+	}
+	if len(added) > 0 {
+		cs = append(cs, cursor{rows: added, shard: i})
 	}
 	return cs
 }
@@ -226,8 +243,21 @@ func (v *View) flush(counts []int64) {
 // Scan calls fn for every match of pat across the relevant shards, in
 // the canonical key-sorted order. fn returning false stops the scan.
 func (v *View) Scan(pat store.IDTriple, fn func(store.IDTriple) bool) {
-	cs := v.cursors(pat)
+	var buf [2]cursor
+	cs := v.cursors(pat, buf[:0])
 	if len(cs) == 0 {
+		return
+	}
+	if len(cs) == 1 && cs[0].del == nil {
+		// One unmasked run is already the merged stream.
+		n := 0
+		for _, t := range cs[0].rows {
+			n++
+			if !fn(t) {
+				break
+			}
+		}
+		v.g.rows[cs[0].shard].Add(int64(n))
 		return
 	}
 	counts := make([]int64, len(v.snaps))
@@ -244,7 +274,7 @@ func (v *View) Scan(pat store.IDTriple, fn func(store.IDTriple) bool) {
 // order enumerates exactly what Scan would. Returns nil only when no
 // shard has matching rows.
 func (v *View) ScanChunks(pat store.IDTriple, n int) []func(fn func(store.IDTriple) bool) {
-	cs := v.cursors(pat)
+	cs := v.cursors(pat, nil)
 	if len(cs) == 0 {
 		return nil
 	}

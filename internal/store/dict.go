@@ -4,8 +4,12 @@
 // which query plans are executed.
 //
 // Terms are interned into dense uint32 IDs; triples are stored as ID
-// triples in four sort orders so that every triple-pattern shape has an
-// index-supported range scan.
+// triples in four sort orders so that every triple-pattern shape is a key
+// prefix of one of them. Because IDs are dense, a frozen store also keeps
+// an offset table per leading component (subject, predicate, object):
+// the rows led by an ID are found by direct addressing, and further bound
+// components by a search inside that run — an index probe costs O(1)
+// plus a search of one short run (scan.go).
 package store
 
 import (

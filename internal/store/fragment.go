@@ -9,10 +9,7 @@ package store
 // fragment; NewFragment returns nil for an empty input so empty overlays
 // cost nothing to check.
 type Fragment struct {
-	spo []IDTriple
-	pso []IDTriple
-	pos []IDTriple
-	osp []IDTriple
+	indexes
 }
 
 // NewFragment builds a fragment from ts (copied, deduplicated). The IDs
@@ -21,21 +18,13 @@ func NewFragment(ts []IDTriple) *Fragment {
 	if len(ts) == 0 {
 		return nil
 	}
-	spo := append([]IDTriple(nil), ts...)
-	sortTriples(spo, cmpSPO)
-	spo = dedupe(spo)
-	f := &Fragment{spo: spo}
-	secondary := []struct {
-		dst  *[]IDTriple
-		less cmpFunc
-	}{
-		{&f.pso, cmpPSO},
-		{&f.pos, cmpPOS},
-		{&f.osp, cmpOSP},
-	}
-	for _, idx := range secondary {
-		*idx.dst = append([]IDTriple(nil), spo...)
-		sortTriples(*idx.dst, idx.less)
+	f := &Fragment{}
+	f.spo = append([]IDTriple(nil), ts...)
+	sortTriples(f.spo, ordSPO)
+	f.spo = dedupe(f.spo)
+	for _, o := range []order{ordPSO, ordPOS, ordOSP} {
+		*f.by(o) = append([]IDTriple(nil), f.spo...)
+		sortTriples(*f.by(o), o)
 	}
 	return f
 }
@@ -54,7 +43,7 @@ func (f *Fragment) Scan(pat IDTriple, fn func(IDTriple) bool) {
 	if f == nil {
 		return
 	}
-	idx, lo, hi := matchIn(f.spo, f.pso, f.pos, f.osp, pat)
+	idx, lo, hi := f.match(pat)
 	for _, t := range idx[lo:hi] {
 		if !fn(t) {
 			return
@@ -69,7 +58,7 @@ func (f *Fragment) ScanChunks(pat IDTriple, n int) []func(fn func(IDTriple) bool
 	if f == nil {
 		return nil
 	}
-	idx, lo, hi := matchIn(f.spo, f.pso, f.pos, f.osp, pat)
+	idx, lo, hi := f.match(pat)
 	return chunkRange(idx, lo, hi, n)
 }
 
@@ -80,7 +69,7 @@ func (f *Fragment) Range(pat IDTriple) []IDTriple {
 	if f == nil {
 		return nil
 	}
-	idx, lo, hi := matchIn(f.spo, f.pso, f.pos, f.osp, pat)
+	idx, lo, hi := f.match(pat)
 	return idx[lo:hi]
 }
 
@@ -89,7 +78,7 @@ func (f *Fragment) Count(pat IDTriple) int {
 	if f == nil {
 		return 0
 	}
-	_, lo, hi := matchIn(f.spo, f.pso, f.pos, f.osp, pat)
+	_, lo, hi := f.match(pat)
 	return hi - lo
 }
 

@@ -66,53 +66,38 @@ func LeadOrderAvailable(pat IDTriple, lead int) bool {
 	}
 }
 
-// leadMatch selects the serving index, row range, and full-key comparator
-// for a lead-ordered scan over the four orderings. ok is false when
-// LeadOrderAvailable(pat, lead) is false.
-func leadMatch(spo, pso, pos, osp []IDTriple, pat IDTriple, lead int) (rows []IDTriple, cmp cmpFunc, ok bool) {
+// leadServing returns the order that enumerates matches of pat with lead
+// as the leading unbound component, and how many of its leading key
+// components pat binds. ok is false when LeadOrderAvailable(pat, lead) is
+// false.
+func leadServing(pat IDTriple, lead int) (o order, bound int, ok bool) {
 	if !LeadOrderAvailable(pat, lead) {
-		return nil, nil, false
+		return 0, 0, false
 	}
-	var (
-		idx  []IDTriple
-		key  func(IDTriple) key3
-		want key3
-		n    int
-		less cmpFunc
-	)
 	switch lead {
 	case LeadS:
-		switch {
-		case pat.P != 0 && pat.O != 0:
-			idx, key, want, n, less = pos, keyPOS, key3{pat.P, pat.O, 0}, 2, cmpPOS
-		case pat.P != 0:
-			idx, key, want, n, less = pso, keyPSO, key3{pat.P, 0, 0}, 1, cmpPSO
-		case pat.O != 0:
-			idx, key, want, n, less = osp, keyOSP, key3{pat.O, 0, 0}, 1, cmpOSP
-		default:
-			return spo, cmpSPO, true
-		}
+		// With S unbound, every shape's serving order has S next.
+		o, bound = serving(pat)
+		return o, bound, true
 	case LeadP:
 		switch {
 		case pat.S != 0 && pat.O != 0:
-			idx, key, want, n, less = osp, keyOSP, key3{pat.O, pat.S, 0}, 2, cmpOSP
+			return ordOSP, 2, true
 		case pat.S != 0:
-			idx, key, want, n, less = spo, keySPO, key3{pat.S, 0, 0}, 1, cmpSPO
+			return ordSPO, 1, true
 		default:
-			return pso, cmpPSO, true
+			return ordPSO, 0, true
 		}
 	default: // LeadO
 		switch {
 		case pat.S != 0 && pat.P != 0:
-			idx, key, want, n, less = spo, keySPO, key3{pat.S, pat.P, 0}, 2, cmpSPO
+			return ordSPO, 2, true
 		case pat.P != 0:
-			idx, key, want, n, less = pos, keyPOS, key3{pat.P, 0, 0}, 1, cmpPOS
+			return ordPOS, 1, true
 		default:
-			return osp, cmpOSP, true
+			return ordOSP, 0, true
 		}
 	}
-	lo, hi := rangeOf(idx, key, want, n)
-	return idx[lo:hi], less, true
 }
 
 // LeadOrder returns the strict total order in which LeadRange(pat, lead)
@@ -122,8 +107,11 @@ func leadMatch(spo, pso, pos, osp []IDTriple, pat IDTriple, lead int) (rows []ID
 // disjoint sorted runs with this comparator reproduces one globally
 // lead-ordered stream.
 func LeadOrder(pat IDTriple, lead int) (less func(a, b IDTriple) bool, ok bool) {
-	_, cmp, ok := leadMatch(nil, nil, nil, nil, pat, lead)
-	return cmp, ok
+	o, _, ok := leadServing(pat, lead)
+	if !ok {
+		return nil, false
+	}
+	return orderLess[o], true
 }
 
 // LeadRange returns the rows matching pat sorted with lead as the leading
@@ -132,8 +120,12 @@ func LeadOrder(pat IDTriple, lead int) (less func(a, b IDTriple) bool, ok bool) 
 // false; an available combination with no matches returns (nil, true).
 func (s *Store) LeadRange(pat IDTriple, lead int) (rows []IDTriple, ok bool) {
 	s.mustBeFrozen()
-	rows, _, ok = leadMatch(s.spo, s.pso, s.pos, s.osp, pat, lead)
-	return rows, ok
+	o, bound, ok := leadServing(pat, lead)
+	if !ok {
+		return nil, false
+	}
+	idx, lo, hi := s.prefix(o, bound, pat)
+	return idx[lo:hi], true
 }
 
 // LeadRuns returns the store's matches of pat as a single lead-ordered
@@ -155,9 +147,10 @@ func (s *Store) LeadRuns(pat IDTriple, lead int) ([]SortedRun, bool) {
 // receiver is the empty fragment and reports every available combination
 // as an empty range.
 func (f *Fragment) LeadRange(pat IDTriple, lead int) (rows []IDTriple, ok bool) {
-	if f == nil {
-		return nil, LeadOrderAvailable(pat, lead)
+	o, bound, ok := leadServing(pat, lead)
+	if f == nil || !ok {
+		return nil, ok
 	}
-	rows, _, ok = leadMatch(f.spo, f.pso, f.pos, f.osp, pat, lead)
-	return rows, ok
+	idx, lo, hi := f.prefix(o, bound, pat)
+	return idx[lo:hi], true
 }

@@ -1,16 +1,41 @@
 package store
 
-import "sort"
-
-// pattern describes which index serves a triple pattern and how many
-// leading components of that index's sort order are bound.
-//
-// Every combination of bound positions is prefix-resolvable by one of the
-// four indexes, so Scan never post-filters and Count is two binary
-// searches:
+// Every combination of bound positions is a key prefix of one of the
+// four indexes, so Scan never post-filters:
 //
 //	(s p o) → SPO, (s p ?) → SPO, (s ? o) → OSP, (s ? ?) → SPO,
 //	(? p o) → POS, (? p ?) → PSO, (? ? o) → OSP, (? ? ?) → SPO.
+//
+// In a frozen store the leading bound component is resolved through the
+// run offset table — two loads — and the remaining bound components are
+// searched for inside that run only (a subject's handful of triples, not
+// the whole index): a probe costs O(1) plus a search of one short run.
+// Count is the same range, measured instead of walked. A Fragment has no
+// offset table and searches its (small) index for the leading component
+// too.
+
+// serving returns the order whose key prefix pat's bound positions form,
+// and the length of that prefix.
+func serving(pat IDTriple) (o order, bound int) {
+	switch {
+	case pat.S != 0 && pat.P != 0 && pat.O != 0:
+		return ordSPO, 3
+	case pat.S != 0 && pat.P != 0:
+		return ordSPO, 2
+	case pat.S != 0 && pat.O != 0:
+		return ordOSP, 2
+	case pat.S != 0:
+		return ordSPO, 1
+	case pat.P != 0 && pat.O != 0:
+		return ordPOS, 2
+	case pat.P != 0:
+		return ordPSO, 1
+	case pat.O != 0:
+		return ordOSP, 1
+	default:
+		return ordSPO, 0
+	}
+}
 
 // Scan calls fn for every triple matching the pattern, where Wildcard (0)
 // in a position matches anything. fn returning false stops the scan early.
@@ -86,37 +111,48 @@ func (s *Store) Contains(t IDTriple) bool {
 
 // match selects the serving index and the half-open row range for pat.
 func (s *Store) match(pat IDTriple) (idx []IDTriple, lo, hi int) {
-	return matchIn(s.spo, s.pso, s.pos, s.osp, pat)
+	o, bound := serving(pat)
+	return s.prefix(o, bound, pat)
 }
 
-// matchIn selects which of the four sorted orderings serves pat and the
-// half-open row range within it. Shared by Store and Fragment.
-func matchIn(spo, pso, pos, osp []IDTriple, pat IDTriple) (idx []IDTriple, lo, hi int) {
-	switch {
-	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		lo, hi = rangeOf(spo, keySPO, key3{pat.S, pat.P, pat.O}, 3)
-		return spo, lo, hi
-	case pat.S != 0 && pat.P != 0:
-		lo, hi = rangeOf(spo, keySPO, key3{pat.S, pat.P, 0}, 2)
-		return spo, lo, hi
-	case pat.S != 0 && pat.O != 0:
-		lo, hi = rangeOf(osp, keyOSP, key3{pat.O, pat.S, 0}, 2)
-		return osp, lo, hi
-	case pat.S != 0:
-		lo, hi = rangeOf(spo, keySPO, key3{pat.S, 0, 0}, 1)
-		return spo, lo, hi
-	case pat.P != 0 && pat.O != 0:
-		lo, hi = rangeOf(pos, keyPOS, key3{pat.P, pat.O, 0}, 2)
-		return pos, lo, hi
-	case pat.P != 0:
-		lo, hi = rangeOf(pso, keyPSO, key3{pat.P, 0, 0}, 1)
-		return pso, lo, hi
-	case pat.O != 0:
-		lo, hi = rangeOf(osp, keyOSP, key3{pat.O, 0, 0}, 1)
-		return osp, lo, hi
-	default:
-		return spo, 0, len(spo)
+// prefix returns order o's index and the half-open range of its rows
+// equal to pat on the first bound key components: the leading one through
+// the run offset table, the rest by search inside that run.
+func (s *Store) prefix(o order, bound int, pat IDTriple) (idx []IDTriple, lo, hi int) {
+	idx = *s.by(o)
+	if bound == 0 {
+		return idx, 0, len(idx)
 	}
+	key := orderKey[o]
+	lo, hi = runOf(s.offsets(o), LeadKey(pat, key[0]))
+	lo, hi = rangeOf(idx, lo, hi, key, pat, 1, bound)
+	return idx, lo, hi
+}
+
+// offsets returns the run offset table over order o's leading component.
+func (s *Store) offsets(o order) []uint32 {
+	switch o {
+	case ordSPO:
+		return s.subjOff
+	case ordOSP:
+		return s.objOff
+	default:
+		return s.predOff
+	}
+}
+
+// match is Store.match for a Fragment.
+func (f *Fragment) match(pat IDTriple) (idx []IDTriple, lo, hi int) {
+	o, bound := serving(pat)
+	return f.prefix(o, bound, pat)
+}
+
+// prefix is Store.prefix without offset tables: every bound component is
+// searched for, the leading one over the whole index.
+func (f *Fragment) prefix(o order, bound int, pat IDTriple) (idx []IDTriple, lo, hi int) {
+	idx = *f.by(o)
+	lo, hi = rangeOf(idx, 0, len(idx), orderKey[o], pat, 0, bound)
+	return idx, lo, hi
 }
 
 // KeyOrder returns the strict total order in which Scan(pat) and
@@ -125,53 +161,49 @@ func matchIn(spo, pso, pos, osp []IDTriple, pat IDTriple) (idx []IDTriple, lo, h
 // key is a permutation of the whole triple, distinct triples never
 // compare equal — which is what makes cross-shard merges deterministic.
 func KeyOrder(pat IDTriple) func(a, b IDTriple) bool {
-	switch {
-	case pat.S != 0 && pat.P != 0 && pat.O != 0:
-		return cmpSPO
-	case pat.S != 0 && pat.P != 0:
-		return cmpSPO
-	case pat.S != 0 && pat.O != 0:
-		return cmpOSP
-	case pat.S != 0:
-		return cmpSPO
-	case pat.P != 0 && pat.O != 0:
-		return cmpPOS
-	case pat.P != 0:
-		return cmpPSO
-	case pat.O != 0:
-		return cmpOSP
-	default:
-		return cmpSPO
-	}
+	o, _ := serving(pat)
+	return orderLess[o]
 }
 
-type key3 [3]ID
-
-func keySPO(t IDTriple) key3 { return key3{t.S, t.P, t.O} }
-func keyPSO(t IDTriple) key3 { return key3{t.P, t.S, t.O} }
-func keyPOS(t IDTriple) key3 { return key3{t.P, t.O, t.S} }
-func keyOSP(t IDTriple) key3 { return key3{t.O, t.S, t.P} }
-
-// rangeOf returns the half-open range of rows whose first n key components
-// equal the first n components of want.
-func rangeOf(idx []IDTriple, key func(IDTriple) key3, want key3, n int) (lo, hi int) {
-	lo = sort.Search(len(idx), func(i int) bool {
-		return !lessPrefix(key(idx[i]), want, n)
-	})
-	hi = sort.Search(len(idx), func(i int) bool {
-		return lessPrefix(want, key(idx[i]), n)
-	})
+// rangeOf narrows idx[lo:hi] — rows that agree on key components before
+// from, sorted by the rest — to the rows equal to pat on key components
+// from..to-1.
+func rangeOf(idx []IDTriple, lo, hi int, key [3]int, pat IDTriple, from, to int) (int, int) {
+	for k := from; k < to && lo < hi; k++ {
+		lo, hi = equalRun(idx, lo, hi, key[k], LeadKey(pat, key[k]))
+	}
 	return lo, hi
 }
 
-// lessPrefix compares the first n components of a and b.
-func lessPrefix(a, b key3, n int) bool {
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// equalRun returns the rows of idx[lo:hi], sorted by the component at
+// position c, whose component equals v: a lower bound, then a gallop to
+// the upper bound — the run is usually far shorter than the range, so
+// doubling steps from its start beat a second search of the whole range.
+func equalRun(idx []IDTriple, lo, hi, c int, v ID) (int, int) {
+	for j := hi; lo < j; {
+		if m := int(uint(lo+j) >> 1); LeadKey(idx[m], c) < v {
+			lo = m + 1
+		} else {
+			j = m
 		}
 	}
-	return false
+	if lo == hi || LeadKey(idx[lo], c) != v {
+		return lo, lo
+	}
+	end, step := lo, 1 // idx[end] is in the run
+	for end+step < hi && LeadKey(idx[end+step], c) == v {
+		end += step
+		step <<= 1
+	}
+	hi = min(end+step, hi)
+	for end++; end < hi; {
+		if m := int(uint(end+hi) >> 1); LeadKey(idx[m], c) == v {
+			end = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, end
 }
 
 // DistinctSubjects returns the number of distinct subjects among triples
@@ -179,9 +211,9 @@ func lessPrefix(a, b key3, n int) bool {
 func (s *Store) DistinctSubjects(p ID) int {
 	s.mustBeFrozen()
 	if p == Wildcard {
-		return countRuns(s.spo, func(t IDTriple) ID { return t.S })
+		return nonEmptyRuns(s.subjOff)
 	}
-	_, lo, hi := s.match(IDTriple{P: p})
+	lo, hi := runOf(s.predOff, p)
 	return countRuns(s.pso[lo:hi], func(t IDTriple) ID { return t.S })
 }
 
@@ -190,10 +222,21 @@ func (s *Store) DistinctSubjects(p ID) int {
 func (s *Store) DistinctObjects(p ID) int {
 	s.mustBeFrozen()
 	if p == Wildcard {
-		return countRuns(s.osp, func(t IDTriple) ID { return t.O })
+		return nonEmptyRuns(s.objOff)
 	}
-	lo, hi := rangeOf(s.pos, keyPOS, key3{p, 0, 0}, 1)
+	lo, hi := runOf(s.predOff, p)
 	return countRuns(s.pos[lo:hi], func(t IDTriple) ID { return t.O })
+}
+
+// nonEmptyRuns counts the IDs that lead at least one row.
+func nonEmptyRuns(off []uint32) int {
+	n := 0
+	for v := 0; v+1 < len(off); v++ {
+		if off[v] < off[v+1] {
+			n++
+		}
+	}
+	return n
 }
 
 func countRuns(ts []IDTriple, component func(IDTriple) ID) int {
@@ -225,16 +268,13 @@ func (s *Store) ForEachSubject(fn func(subject ID, triples []IDTriple) bool) {
 	}
 }
 
-// Predicates returns the distinct predicate IDs in the graph in ID-sorted
-// run order of the PSO index.
+// Predicates returns the distinct predicate IDs in the graph, ascending.
 func (s *Store) Predicates() []ID {
 	s.mustBeFrozen()
 	var out []ID
-	var prev ID
-	for i, t := range s.pso {
-		if i == 0 || t.P != prev {
-			out = append(out, t.P)
-			prev = t.P
+	for p := 0; p+1 < len(s.predOff); p++ {
+		if s.predOff[p] < s.predOff[p+1] {
+			out = append(out, ID(p))
 		}
 	}
 	return out
@@ -244,7 +284,7 @@ func (s *Store) Predicates() []ID {
 // the class IRIs when p is rdf:type.
 func (s *Store) ObjectsOf(p ID) []ID {
 	s.mustBeFrozen()
-	lo, hi := rangeOf(s.pos, keyPOS, key3{p, 0, 0}, 1)
+	lo, hi := runOf(s.predOff, p)
 	var out []ID
 	var prev ID
 	for i, t := range s.pos[lo:hi] {

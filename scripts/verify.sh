@@ -61,6 +61,9 @@ go test -race -run 'TestDurability|TestOpen|TestWithDurability|TestCheckpoint|Te
 echo "== snapshot corruption fuzz smoke =="
 go test -run=NONE -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/store
 
+echo "== index access-path fuzz smoke (offset tables, in-run search vs a linear filter) =="
+go test -run=NONE -fuzz=FuzzStoreMatch -fuzztime=10s ./internal/store
+
 echo "== benchmark bit-rot smoke (compile and run every benchmark once) =="
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
