@@ -89,7 +89,6 @@ type options struct {
 	drainGrace        time.Duration
 	parallelism       int
 	shards            int
-	scanFrameBytes    int
 	dataDir           string
 	fsyncMode         string
 
@@ -135,8 +134,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		"workers per query BGP (1 = serial execution; see docs/PERFORMANCE.md)")
 	fs.IntVar(&o.shards, "shards", 0,
 		"partition the dataset into N subject-hash shards with per-shard statistics and statistics-driven shard pruning (<= 1 = unsharded; see docs/SHARDING.md)")
-	fs.IntVar(&o.scanFrameBytes, "scan-frame-bytes", 0,
-		"target frame payload size for the checksummed /shard/scan protocol (0 = default)")
 	fs.StringVar(&o.dataDir, "data-dir", "",
 		"durability directory: WAL + snapshots; recovered on start, seeded from -data/-dataset when empty (see docs/DURABILITY.md)")
 	fs.StringVar(&o.fsyncMode, "fsync", "always",
@@ -188,10 +185,9 @@ func run(ctx context.Context, opts *options, started chan<- string) error {
 	}
 
 	handler := server.NewWithConfig(db, server.Config{
-		MaxConcurrent:  opts.maxConcurrent,
-		QueueWait:      opts.queueWait,
-		QueryTimeout:   opts.queryTimeout,
-		ScanFrameBytes: opts.scanFrameBytes,
+		MaxConcurrent: opts.maxConcurrent,
+		QueueWait:     opts.queueWait,
+		QueryTimeout:  opts.queryTimeout,
 	})
 	srv := newHTTPServer(handler)
 	ln, err := net.Listen("tcp", opts.addr)

@@ -56,6 +56,22 @@ func startRun(t *testing.T, ctx context.Context, args ...string) (base string, e
 	return "", nil
 }
 
+// TestFlagSurface pins the size of the flag set and that a removed flag
+// stays removed: it fails the parse instead of being ignored.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("server-test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	registerFlags(fs)
+	n := 0
+	fs.VisitAll(func(*flag.Flag) { n++ })
+	if n != 27 {
+		t.Errorf("%d flags registered, want 27", n)
+	}
+	if err := fs.Parse([]string{"-scan-frame-bytes", "1"}); err == nil {
+		t.Error("-scan-frame-bytes parsed, want an unknown-flag error")
+	}
+}
+
 func waitReady(t *testing.T, base string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -50,10 +50,13 @@ func LeadAvailableProbe(tp sparql.TriplePattern, v string) bool {
 }
 
 // probePenalty weights one nested-loop index probe against one
-// nested-loop row visit in the cost comparison. A probe is a binary
-// search over the full index (log n cache-hostile comparisons) while a
-// visit is a sequential advance plus slot binding, so a probe is worth
-// several visits.
+// nested-loop row visit in the cost comparison. A probe on the frozen
+// store is two offset-table loads that bound the leading term's run,
+// plus a search of the remaining bound terms inside that run, while a
+// visit is a sequential advance plus slot binding. The weight of 4 was
+// set when a probe was a binary search over the full index and has not
+// been re-derived for the offset-table probe; it is due re-measurement
+// against a merge pop (ROADMAP item 3a).
 const probePenalty = 4
 
 // popCost is the cost of one merge cursor pop relative to one

@@ -156,9 +156,6 @@ type ExecReport struct {
 	// Truncated is true when MaxIntermediate or MaxRows stopped the run
 	// early, making Count and Intermediate lower bounds.
 	Truncated bool
-	// Degraded is true when a Fallible source skipped a failed member
-	// in degraded mode, making Count and Rows lower bounds.
-	Degraded bool
 }
 
 // Result holds the outcome of executing a BGP.
@@ -199,30 +196,7 @@ type Result struct {
 	// including when Options.MergeWidth was requested but validation
 	// fell back).
 	MergeWidth int
-	// Degraded is true when a Fallible source reported a scan fault it
-	// continued past (a federated source skipping a failed peer): Rows
-	// may be missing that member's contribution. Like Truncated, the
-	// run did not fail — it degraded, and the flag is the contract that
-	// it says so. Fail-fast sources never set this; their faults abort
-	// the run with an error instead.
-	Degraded bool
 }
-
-// Fallible is implemented by sources whose Scan can fail out of band —
-// the Source contract has no error return, so a remote-backed source
-// retains its first fault and the engine collects it here before
-// declaring a result complete. TakeFault returns the retained fault
-// (nil when the scans all succeeded) and whether the source continued
-// past it in degraded mode, clearing it. A non-degraded fault fails the
-// run; a degraded one marks the Result Degraded.
-type Fallible interface {
-	TakeFault() (err error, degraded bool)
-}
-
-// ErrSourceFailed wraps a Fallible source's fail-fast fault: the scan
-// stream from a remote member broke and the result would be silently
-// incomplete, so the run errors instead.
-var ErrSourceFailed = errors.New("engine: source scan failed")
 
 // compiledPattern precomputes, for one pattern, the constant IDs and the
 // variable slots of each position. A constant missing from the dictionary
@@ -246,35 +220,19 @@ func Run(st Source, patterns []sparql.TriplePattern, opts Options) (*Result, err
 	if opts.Observer != nil {
 		start = time.Now()
 	}
-	report := func(res *Result) {
-		if opts.Observer == nil {
-			return
-		}
-		opts.Observer(ExecReport{
-			Wall:         time.Since(start),
-			Ops:          res.Ops,
-			Count:        res.Count,
-			Intermediate: append([]int64(nil), res.Intermediate...),
-			TimedOut:     res.TimedOut,
-			LimitHit:     res.LimitHit,
-			Truncated:    res.Truncated,
-			Degraded:     res.Degraded,
-		})
-	}
-	// finish settles a successful execution: before the result is
-	// declared complete, a Fallible source gets to veto it. A fail-fast
-	// fault turns the "success" into an error (the rows would be
-	// silently short); a degraded fault flags the result instead.
+	// finish reports a completed execution to the Observer, if any.
 	finish := func(res *Result) (*Result, error) {
-		if f, ok := st.(Fallible); ok {
-			if ferr, degraded := f.TakeFault(); ferr != nil {
-				if !degraded {
-					return nil, fmt.Errorf("%w: %w", ErrSourceFailed, ferr)
-				}
-				res.Degraded = true
-			}
+		if opts.Observer != nil {
+			opts.Observer(ExecReport{
+				Wall:         time.Since(start),
+				Ops:          res.Ops,
+				Count:        res.Count,
+				Intermediate: append([]int64(nil), res.Intermediate...),
+				TimedOut:     res.TimedOut,
+				LimitHit:     res.LimitHit,
+				Truncated:    res.Truncated,
+			})
 		}
-		report(res)
 		return res, nil
 	}
 	res := &Result{Intermediate: make([]int64, len(patterns))}
@@ -304,8 +262,7 @@ func Run(st Source, patterns []sparql.TriplePattern, opts Options) (*Result, err
 
 	compiled, empty := compilePatterns(st, patterns, slots)
 	if empty {
-		report(res)
-		return res, nil // no scan ran, so no source fault to collect
+		return finish(res)
 	}
 	groups := make([][]compiledPattern, 0, len(opts.Optionals))
 	groupEmpty := make([]bool, 0, len(opts.Optionals))

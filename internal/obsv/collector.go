@@ -65,28 +65,6 @@ const (
 	MetricRouterReadsRepl  = "rdfshapes_router_replica_reads_total"
 )
 
-// Remote-shard scan metric names (maintained as atomics by the
-// chaos-hardened client in internal/shard, exported at scrape time by
-// RemoteGroup.RegisterMetrics; the scan-endpoint counters come from
-// shard.HandlerStats, registered by the server).
-const (
-	MetricRemoteScans         = "rdfshapes_remote_scans_total"
-	MetricRemoteScanFailures  = "rdfshapes_remote_scan_failures_total"
-	MetricRemoteScanRetries   = "rdfshapes_remote_scan_retries_total"
-	MetricRemoteHedges        = "rdfshapes_remote_scan_hedges_total"
-	MetricRemoteHedgeWins     = "rdfshapes_remote_scan_hedge_wins_total"
-	MetricRemoteCorruptFrames = "rdfshapes_remote_scan_corrupt_total"
-	MetricRemoteTruncations   = "rdfshapes_remote_scan_truncated_total"
-	MetricRemoteBreakerOpens  = "rdfshapes_remote_breaker_opens_total"
-	MetricRemoteBreakerState  = "rdfshapes_remote_breaker_state"
-	MetricRemoteDegradedScans = "rdfshapes_remote_degraded_scans_total"
-
-	MetricScanServed = "rdfshapes_shard_scans_served_total"
-	MetricScanFrames = "rdfshapes_shard_scan_frames_total"
-	MetricScanRows   = "rdfshapes_shard_scan_rows_total"
-	MetricScanAborts = "rdfshapes_shard_scan_aborts_total"
-)
-
 // CheckpointDurationBuckets are the checkpoint-latency histogram upper
 // bounds in seconds: checkpoints write a full snapshot, so the range
 // sits well above query latencies.
@@ -248,7 +226,7 @@ func (c *Collector) RegisterCounterVec(name, help, label string, fn func() map[s
 // RegisterCounter installs (or replaces) an unlabeled scrape-time
 // counter: fn is read once per scrape and must be monotonically
 // non-decreasing. Used for single-series cumulative counts kept in
-// hot-path atomics (the scan endpoint's frame and abort counters).
+// hot-path atomics.
 func (c *Collector) RegisterCounter(name, help string, fn func() float64) {
 	if c == nil {
 		return

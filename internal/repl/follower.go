@@ -38,7 +38,8 @@ type FollowerConfig struct {
 	// after a failed sync (defaults DefaultBackoffBase/DefaultBackoffMax).
 	BackoffBase, BackoffMax time.Duration
 	// Client is the HTTP client; nil selects a default with no overall
-	// timeout (snapshot bodies can be large), relying on ctx instead.
+	// timeout (snapshot bodies can be large), relying on ctx and the
+	// per-request idle timeout instead.
 	Client *http.Client
 	// Seed seeds the backoff jitter; 0 derives one from the clock.
 	Seed int64
@@ -215,11 +216,7 @@ func (f *Follower) poll(ctx context.Context) error {
 	f.mu.Unlock()
 
 	url := fmt.Sprintf("%s%s?gen=%d&from=%d", f.cfg.Primary, WALPath, gen, applied)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := f.client.Do(req)
+	resp, err := get(ctx, f.client, url)
 	if err != nil {
 		f.fail(true, err)
 		return err
@@ -227,6 +224,7 @@ func (f *Follower) poll(ctx context.Context) error {
 	defer resp.Body.Close()
 
 	primarySeq, _ := strconv.ParseUint(resp.Header.Get(HeaderSeq), 10, 64)
+	primaryGen, _ := strconv.ParseUint(resp.Header.Get(HeaderGeneration), 10, 64)
 	switch resp.StatusCode {
 	case http.StatusOK:
 	case http.StatusGone:
@@ -260,10 +258,10 @@ func (f *Follower) poll(ctx context.Context) error {
 		// Connection cut mid-stream: decode whatever arrived whole, then
 		// resume from the new cursor on the next round.
 		f.fail(true, err)
-		f.applyStream(body)
+		f.applyStream(body, gen, primaryGen)
 		return err
 	}
-	if derr := f.applyStream(body); derr != nil {
+	if derr := f.applyStream(body, gen, primaryGen); derr != nil {
 		if wal.IsTorn(derr) {
 			f.mu.Lock()
 			f.tornStreams++
@@ -305,16 +303,25 @@ func (f *Follower) poll(ctx context.Context) error {
 // advancing the cursor record by record so any interruption resumes
 // exactly after the last applied commit. Returns the decode error, if
 // any; records before a tear have already been applied.
-func (f *Follower) applyStream(body []byte) error {
+//
+// The primary ships one segment per generation, fromGen through
+// curGen (its X-Repl-Generation header) in order, so any other segment
+// generation is a corrupt header: it is rejected as a torn stream
+// rather than moving the cursor to a generation the primary never had.
+func (f *Follower) applyStream(body []byte, fromGen, curGen uint64) error {
+	want := fromGen
 	err := wal.DecodeSegments(body,
-		func(g uint64) {
+		func(g uint64) bool {
+			if g != want || g > curGen {
+				return false
+			}
+			want++
 			// Reaching a segment header means every prior segment applied
 			// fully; the cursor generation may advance.
 			f.mu.Lock()
-			if g > f.gen {
-				f.gen = g
-			}
+			f.gen = g
 			f.mu.Unlock()
+			return true
 		},
 		func(g, seq uint64, b wal.Batch) error {
 			f.mu.Lock()

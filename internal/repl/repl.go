@@ -32,10 +32,12 @@ package repl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"time"
 
 	"rdfshapes/internal/wal"
 )
@@ -117,15 +119,78 @@ type StatusResponse struct {
 	LastError string `json:"lastError,omitempty"`
 }
 
+// idleTimeout aborts a replication request when the primary sends no
+// response bytes for this long, whether it never answers (a blackholed
+// connection) or stops mid-body (a stall). A round has no overall
+// deadline, since snapshot bodies can be large, so without this a stalled
+// primary would hang the round, and every round queued behind it,
+// forever. A variable so the in-package tests can shorten it.
+var idleTimeout = 10 * time.Second
+
+// errIdle marks a request aborted by idleTimeout.
+var errIdle = errors.New("repl: primary sent nothing within the idle timeout")
+
+// get issues a GET under ctx that is aborted when no response bytes
+// arrive for idleTimeout: before the headers, and between body reads.
+// The caller must close the returned body.
+func get(ctx context.Context, client *http.Client, url string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	timer := time.AfterFunc(idleTimeout, func() { cancel(errIdle) })
+	resp, err := client.Do(req.WithContext(ctx))
+	if err != nil {
+		err = idleErr(ctx, err)
+		timer.Stop()
+		cancel(nil)
+		return nil, err
+	}
+	timer.Reset(idleTimeout)
+	resp.Body = &idleBody{ReadCloser: resp.Body, ctx: ctx, timer: timer, cancel: cancel}
+	return resp, nil
+}
+
+// idleBody re-arms the idle timer on every read that returns bytes.
+type idleBody struct {
+	io.ReadCloser
+	ctx    context.Context
+	timer  *time.Timer
+	cancel context.CancelCauseFunc
+}
+
+func (b *idleBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	if n > 0 {
+		b.timer.Reset(idleTimeout)
+	}
+	if err != nil && err != io.EOF {
+		err = idleErr(b.ctx, err)
+	}
+	return n, err
+}
+
+func (b *idleBody) Close() error {
+	b.timer.Stop()
+	b.cancel(nil)
+	return b.ReadCloser.Close()
+}
+
+// idleErr names the idle timeout as the cause of err when it fired.
+func idleErr(ctx context.Context, err error) error {
+	if !errors.Is(err, errIdle) && errors.Is(context.Cause(ctx), errIdle) {
+		return fmt.Errorf("%w: %w", errIdle, err)
+	}
+	return err
+}
+
 // FetchSnapshot retrieves the primary's current checkpoint snapshot and
 // its generation — the bootstrap half of the protocol, shared by the
-// follower and the facade's initial replica open.
+// follower and the facade's initial replica open. Like every replication
+// request it is aborted when the primary goes quiet for idleTimeout.
 func FetchSnapshot(ctx context.Context, client *http.Client, primary string) (uint64, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, primary+SnapshotPath, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := client.Do(req)
+	resp, err := get(ctx, client, primary+SnapshotPath)
 	if err != nil {
 		return 0, nil, fmt.Errorf("repl: fetching snapshot: %w", err)
 	}

@@ -333,62 +333,81 @@ func TestFollowerDivergentPrimaryRebootstraps(t *testing.T) {
 	}
 }
 
-// truncatingHandler serves an inner handler's response cut at a byte
-// offset. With announce set, the full Content-Length is declared first,
-// so the client sees a connection killed mid-record rather than a clean
-// short body.
-type truncatingHandler struct {
-	inner    http.Handler
-	mu       sync.Mutex
-	cut      int // -1: pass through
-	announce bool
+// streamFault is how faultyHandler damages a /repl/wal body at an
+// offset.
+type streamFault int
+
+const (
+	cleanCut  streamFault = iota // the body ends at the offset
+	killedCut                    // full length announced, connection killed at the offset
+	bitFlip                      // one bit flipped at the offset, body otherwise whole
+)
+
+// faultyHandler serves an inner handler's /repl/wal responses damaged
+// at byte offset at (-1: pass through).
+type faultyHandler struct {
+	inner http.Handler
+	mu    sync.Mutex
+	at    int
+	fault streamFault
 }
 
-func (h *truncatingHandler) set(cut int, announce bool) {
+func (h *faultyHandler) set(at int, fault streamFault) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.cut, h.announce = cut, announce
+	h.at, h.fault = at, fault
 }
 
-func (h *truncatingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (h *faultyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
-	cut, announce := h.cut, h.announce
+	at, fault := h.at, h.fault
 	h.mu.Unlock()
-	if cut < 0 || r.URL.Path != WALPath {
+	if at < 0 || r.URL.Path != WALPath {
 		h.inner.ServeHTTP(w, r)
 		return
 	}
 	rec := httptest.NewRecorder()
 	h.inner.ServeHTTP(rec, r)
 	body := rec.Body.Bytes()
-	if cut > len(body) {
-		cut = len(body)
+	if at > len(body) {
+		at = len(body)
 	}
 	for k, vs := range rec.Header() {
 		for _, v := range vs {
 			w.Header().Add(k, v)
 		}
 	}
-	if announce {
+	switch fault {
+	case cleanCut:
+		body = body[:at]
+	case killedCut:
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	case bitFlip:
+		body = append([]byte(nil), body...)
+		body[at] ^= 1 << (at % 8)
 	}
 	w.WriteHeader(rec.Code)
-	_, _ = w.Write(body[:cut])
-	if announce {
-		// Abort the connection so the client cannot wait for the rest.
-		panic(http.ErrAbortHandler)
+	if fault != killedCut {
+		_, _ = w.Write(body)
+		return
 	}
+	_, _ = w.Write(body[:at])
+	// Abort the connection so the client cannot wait for the rest.
+	panic(http.ErrAbortHandler)
 }
 
-// tornStreamCase runs the torn-stream matrix in one of two delivery
-// modes: a cleanly truncated body (announce=false) or a connection
-// killed mid-transfer (announce=true).
-func tornStreamCase(t *testing.T, announce bool) {
+// tornStreamCase runs the damaged-stream matrix over every offset of a
+// five-record stream, in one of three delivery modes. Whatever a damaged
+// round applies is a prefix of the primary's log, a round that reports
+// success holds exactly the oracle, the cursor never leaves the
+// primary's one generation, and the next clean round converges without
+// a re-bootstrap.
+func tornStreamCase(t *testing.T, fault streamFault) {
 	f := newPrimaryFixture(t, 2)
 	f.append(5)
 
-	trunc := &truncatingHandler{inner: f.mux, cut: -1}
-	proxy := httptest.NewServer(trunc)
+	proxyH := &faultyHandler{inner: f.mux, at: -1}
+	proxy := httptest.NewServer(proxyH)
 	defer proxy.Close()
 
 	// Probe the full wire size once.
@@ -397,40 +416,55 @@ func tornStreamCase(t *testing.T, announce bool) {
 		t.Fatalf("ReadSegments: %v", err)
 	}
 	wireLen := len(wal.EncodeSegments(segs))
+	last := wireLen
+	if fault == bitFlip {
+		last = wireLen - 1 // a flip needs a byte to land on
+	}
 
-	for cut := 0; cut <= wireLen; cut++ {
+	for at := 0; at <= last; at++ {
 		tgt := newMemTarget()
 		fl := NewFollower(FollowerConfig{
 			Primary:     proxy.URL,
 			Target:      tgt,
 			BackoffBase: time.Millisecond,
 			BackoffMax:  2 * time.Millisecond,
-			Seed:        int64(cut + 1),
+			Seed:        int64(at + 1),
 		})
-		trunc.set(cut, announce)
+		proxyH.set(at, fault)
 		err := fl.Sync(context.Background())
-		if err == nil && cut < wireLen {
-			t.Fatalf("cut=%d: torn sync reported success", cut)
+		if err == nil && (fault == bitFlip || at < wireLen) {
+			t.Fatalf("at=%d: damaged sync reported success", at)
 		}
-		// Whatever applied before the tear must be a clean prefix.
+		if fault == bitFlip && (!wal.IsTorn(err) || fl.Status().TornStreams != 1) {
+			t.Fatalf("at=%d: flipped bit surfaced as %v, %d torn streams counted; want one torn stream",
+				at, err, fl.Status().TornStreams)
+		}
+		// Whatever applied before the damage must be a clean prefix.
 		_, applied, _ := tgt.snapshot()
 		for i, s := range applied {
 			if s != uint64(i+1) {
-				t.Fatalf("cut=%d: applied %v is not a prefix of 1..5", cut, applied)
+				t.Fatalf("at=%d: applied %v is not a prefix of 1..5", at, applied)
 			}
 		}
+		if err == nil {
+			assertConverged(t, f, tgt)
+		}
+		if st := fl.Status(); st.Generation != 1 {
+			t.Fatalf("at=%d: cursor moved to generation %d, primary only has 1", at, st.Generation)
+		}
 		// The retry resumes from the follower's cursor and converges.
-		trunc.set(-1, false)
+		proxyH.set(-1, fault)
 		mustSync(t, fl)
 		assertConverged(t, f, tgt)
-		if st := fl.Status(); st.AppliedSeq != 5 {
-			t.Fatalf("cut=%d: applied seq %d, want 5", cut, st.AppliedSeq)
+		if st := fl.Status(); st.AppliedSeq != 5 || st.Bootstraps != 1 {
+			t.Fatalf("at=%d: applied seq %d after %d bootstraps, want 5 after 1", at, st.AppliedSeq, st.Bootstraps)
 		}
 	}
 }
 
-func TestFollowerTornStreamEveryBoundary(t *testing.T)   { tornStreamCase(t, false) }
-func TestFollowerKilledConnectionMidRecord(t *testing.T) { tornStreamCase(t, true) }
+func TestFollowerTornStreamEveryBoundary(t *testing.T)   { tornStreamCase(t, cleanCut) }
+func TestFollowerKilledConnectionMidRecord(t *testing.T) { tornStreamCase(t, killedCut) }
+func TestFollowerBitFlipEveryOffset(t *testing.T)        { tornStreamCase(t, bitFlip) }
 
 func TestFollowerCrashDuringApplyAndRejoin(t *testing.T) {
 	f := newPrimaryFixture(t, 2)

@@ -146,6 +146,13 @@ func TestWireBytesMatchReferenceLUBM(t *testing.T) {
 			for _, wq := range workloads.LUBM() {
 				assertWireMatchesReference(t, db, h, wq.Name, wq.Text)
 			}
+			// Shards are in-process only: no configuration serves triple
+			// scans over HTTP.
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/shard/scan?p=x", nil))
+			if rec.Code != http.StatusNotFound {
+				t.Errorf("/shard/scan: status %d, want 404", rec.Code)
+			}
 		})
 	}
 }

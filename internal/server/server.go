@@ -59,7 +59,6 @@ import (
 	"rdfshapes/internal/obsv"
 	"rdfshapes/internal/rdf"
 	"rdfshapes/internal/repl"
-	"rdfshapes/internal/shard"
 )
 
 // Governor metric names, exported alongside the obsv package's inventory.
@@ -98,9 +97,6 @@ type Config struct {
 	// timeout= parameter is clamped to. 0 means no server-imposed
 	// deadline (clients may still set their own).
 	QueryTimeout time.Duration
-	// ScanFrameBytes is the target frame payload size for the framed
-	// /shard/scan protocol. 0 selects shard.DefaultFrameBytes.
-	ScanFrameBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -290,29 +286,6 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 	h.mux.HandleFunc("/admin/checkpoint", h.adminCheckpoint)
 	h.mux.HandleFunc("/metrics", h.metrics)
 	h.mux.HandleFunc("/trace/recent", h.traceRecent)
-	if db.Sharded() > 0 {
-		// Shard-over-HTTP scan endpoint: lets a remote coordinator read
-		// this server's shards as an engine source (shard.Remote). The
-		// endpoint's frame/abort counters are scraped from atomics.
-		scanStats := &shard.HandlerStats{}
-		h.mux.Handle("/shard/scan", shard.HandlerWithConfig(func() shard.Source {
-			return db.Shards().Snapshot()
-		}, shard.HandlerConfig{FrameBytes: cfg.ScanFrameBytes, Stats: scanStats}))
-		h.obs.RegisterCounterVec(obsv.MetricScanServed,
-			"Shard scans served, by wire protocol.", "proto",
-			func() map[string]float64 {
-				return map[string]float64{"framed": float64(scanStats.FramedScans.Load())}
-			})
-		h.obs.RegisterCounter(obsv.MetricScanFrames,
-			"Checksummed frames written by the scan endpoint.",
-			func() float64 { return float64(scanStats.Frames.Load()) })
-		h.obs.RegisterCounter(obsv.MetricScanRows,
-			"Triples written by the scan endpoint.",
-			func() float64 { return float64(scanStats.Rows.Load()) })
-		h.obs.RegisterCounter(obsv.MetricScanAborts,
-			"Scan responses cut short by client write errors.",
-			func() float64 { return float64(scanStats.Aborts.Load()) })
-	}
 	if db.Durable() {
 		// Log-shipping endpoints: a durable DB is a replication primary
 		// replicas can bootstrap from and tail.

@@ -1,15 +1,11 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"rdfshapes/internal/annotator"
 	"rdfshapes/internal/gstats"
@@ -513,197 +509,3 @@ func TestSingleRunScanDirect(t *testing.T) {
 }
 
 func first(a, _ int64) int64 { return a }
-
-// TestRemoteRoundTrip exercises the shard-over-HTTP stub: a Handler
-// over a group view, a Remote interning into a fresh dictionary, and
-// term-identical results for wildcard and bound patterns.
-func TestRemoteRoundTrip(t *testing.T) {
-	st := store.Load(seedGraph())
-	g, err := New(st, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(Handler(func() Source { return g.Snapshot() }))
-	defer srv.Close()
-
-	rd := store.NewDict()
-	remote := NewRemote(srv.URL, srv.Client(), rd)
-
-	decode := func(d *store.Dict, ts []store.IDTriple) []string {
-		out := make([]string, len(ts))
-		for i, t := range ts {
-			out[i] = d.Term(t.S).String() + " " + d.Term(t.P).String() + " " + d.Term(t.O).String()
-		}
-		sort.Strings(out)
-		return out
-	}
-
-	all := collect(remote.Scan, store.IDTriple{})
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := collect(st.Scan, store.IDTriple{})
-	if g, w := decode(rd, all), decode(st.Dict(), want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("wildcard round trip: %d rows, want %d", len(g), len(w))
-	}
-
-	// Bound predicate, via the remote-side dictionary.
-	nameID := rd.Intern(iri("name"))
-	got := collect(remote.Scan, store.IDTriple{P: nameID})
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
-	}
-	nameLocal, _ := st.Dict().Lookup(iri("name"))
-	want = collect(st.Scan, store.IDTriple{P: nameLocal})
-	if g, w := decode(rd, got), decode(st.Dict(), want); !reflect.DeepEqual(g, w) {
-		t.Fatalf("bound round trip: %d rows, want %d", len(g), len(w))
-	}
-
-	// A term the server has never seen matches nothing.
-	got = collect(remote.Scan, store.IDTriple{P: rd.Intern(iri("no-such"))})
-	if err := remote.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("unknown-term scan returned %d rows", len(got))
-	}
-}
-
-// flakyHandler fails the first failN requests in mode ("drop" kills the
-// connection, "503"/"400" answer with that status, "torn" cuts a
-// framed body off after its magic), then delegates to the real handler.
-func flakyHandler(t *testing.T, g *Group, failN int, mode string) (*httptest.Server, *int) {
-	t.Helper()
-	real := Handler(func() Source { return g.Snapshot() })
-	hits := new(int)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		*hits++
-		if *hits <= failN {
-			switch mode {
-			case "drop":
-				hj, ok := w.(http.Hijacker)
-				if !ok {
-					t.Fatal("response writer cannot hijack")
-				}
-				conn, _, err := hj.Hijack()
-				if err != nil {
-					t.Fatalf("hijack: %v", err)
-				}
-				conn.Close()
-			case "torn":
-				w.Header().Set("Content-Type", ScanContentType)
-				w.Header().Set("Content-Length", "500")
-				fmt.Fprint(w, scanMagic)
-			default:
-				code := http.StatusServiceUnavailable
-				if mode == "400" {
-					code = http.StatusBadRequest
-				}
-				http.Error(w, "induced "+mode, code)
-			}
-			return
-		}
-		real.ServeHTTP(w, r)
-	}))
-	t.Cleanup(srv.Close)
-	return srv, hits
-}
-
-func hardenedRemote(t *testing.T, srv *httptest.Server, retries int) (*Remote, *store.Dict) {
-	t.Helper()
-	rd := store.NewDict()
-	return NewRemoteConfig(srv.URL, srv.Client(), rd, RemoteConfig{
-		MaxRetries:  retries,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
-		Seed:        42,
-	}), rd
-}
-
-// TestRemoteRetriesTransientFaults pins the hardening: a scan survives
-// transient faults — dropped connections, 503s, torn bodies — within
-// its retry budget, returns the full result exactly once, and leaves
-// Err clean.
-func TestRemoteRetriesTransientFaults(t *testing.T) {
-	st := store.Load(seedGraph())
-	g, err := New(st, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := collect(st.Scan, store.IDTriple{})
-
-	for _, mode := range []string{"drop", "503", "torn"} {
-		t.Run(mode, func(t *testing.T) {
-			srv, hits := flakyHandler(t, g, 2, mode)
-			remote, _ := hardenedRemote(t, srv, 2)
-			got := collect(remote.Scan, store.IDTriple{})
-			if err := remote.Err(); err != nil {
-				t.Fatalf("scan after transient %s faults: %v", mode, err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("scan returned %d rows, want %d (duplicates or loss across retries)",
-					len(got), len(want))
-			}
-			if *hits != 3 {
-				t.Errorf("server saw %d requests, want 3 (2 failures + 1 success)", *hits)
-			}
-		})
-	}
-}
-
-// TestRemoteRetryExhaustion pins the typed error when every attempt
-// fails: retryable, with the attempt count, and the scan stays empty.
-func TestRemoteRetryExhaustion(t *testing.T) {
-	st := store.Load(seedGraph())
-	g, err := New(st, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, hits := flakyHandler(t, g, 100, "503")
-	remote, _ := hardenedRemote(t, srv, 2)
-	got := collect(remote.Scan, store.IDTriple{})
-	if len(got) != 0 {
-		t.Fatalf("failed scan emitted %d rows", len(got))
-	}
-	scanErr := remote.Err()
-	if scanErr == nil {
-		t.Fatal("Err() = nil after exhausting retries")
-	}
-	var re *Error
-	if !errors.As(scanErr, &re) {
-		t.Fatalf("Err() = %T %v, want *shard.Error", scanErr, scanErr)
-	}
-	if !IsRetryable(scanErr) || re.Attempts != 3 {
-		t.Errorf("error = %+v, want retryable with 3 attempts", re)
-	}
-	if *hits != 3 {
-		t.Errorf("server saw %d requests, want 3", *hits)
-	}
-}
-
-// TestRemotePermanentFailureNoRetry pins that an affirmative peer
-// rejection (400) is not retried and is typed permanent.
-func TestRemotePermanentFailureNoRetry(t *testing.T) {
-	st := store.Load(seedGraph())
-	g, err := New(st, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, hits := flakyHandler(t, g, 100, "400")
-	remote, _ := hardenedRemote(t, srv, 5)
-	collect(remote.Scan, store.IDTriple{})
-	scanErr := remote.Err()
-	if scanErr == nil {
-		t.Fatal("Err() = nil after a 400 response")
-	}
-	if IsRetryable(scanErr) {
-		t.Errorf("400 classified retryable: %v", scanErr)
-	}
-	var re *Error
-	if !errors.As(scanErr, &re) || re.Attempts != 1 {
-		t.Errorf("error = %v, want exactly 1 attempt", scanErr)
-	}
-	if *hits != 1 {
-		t.Errorf("server saw %d requests, want 1 (no retry on permanent failure)", *hits)
-	}
-}

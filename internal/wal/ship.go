@@ -157,11 +157,13 @@ func EncodeSegments(segs []Segment) []byte {
 // DecodeSegments walks an encoded segment stream, calling fn for every
 // intact record with its generation and sequence number, and gen for
 // every segment header (including empty segments, so a follower's
-// generation cursor advances past commit-free rotations). A torn or
-// corrupt tail stops the walk with an IsTorn error after every complete
-// record before the tear has been delivered; an error from fn stops the
-// walk and is returned as-is.
-func DecodeSegments(data []byte, gen func(g uint64), fn func(g, seq uint64, b Batch) error) error {
+// generation cursor advances past commit-free rotations). The header's
+// generation carries no checksum, so gen vets it: returning false
+// rejects the header as corrupt. A torn or corrupt tail, or a rejected
+// header, stops the walk with an IsTorn error after every complete
+// record before it has been delivered; an error from fn stops the walk
+// and is returned as-is.
+func DecodeSegments(data []byte, gen func(g uint64) bool, fn func(g, seq uint64, b Batch) error) error {
 	off := 0
 	for off < len(data) {
 		if len(data)-off < len(segMagic)+16 {
@@ -172,12 +174,12 @@ func DecodeSegments(data []byte, gen func(g uint64), fn func(g, seq uint64, b Ba
 		}
 		g := binary.LittleEndian.Uint64(data[off+8 : off+16])
 		n := binary.LittleEndian.Uint64(data[off+16 : off+24])
+		if gen != nil && !gen(g) {
+			return fmt.Errorf("%w: unexpected segment generation %d at offset %d", errSegTorn, g, off)
+		}
 		off += len(segMagic) + 16
 		if n > uint64(len(data)-off) {
 			// The segment body is cut short: replay what is intact.
-			if gen != nil {
-				gen(g)
-			}
 			var ferr error
 			_, tear := scanRecords(data[off:], func(seq uint64, b Batch) error {
 				ferr = fn(g, seq, b)
@@ -188,9 +190,6 @@ func DecodeSegments(data []byte, gen func(g uint64), fn func(g, seq uint64, b Ba
 			}
 			_ = tear // a tear here is expected; the header already lied
 			return fmt.Errorf("%w: truncated segment body at offset %d", errSegTorn, off)
-		}
-		if gen != nil {
-			gen(g)
 		}
 		var ferr error
 		valid, tear := scanRecords(data[off:off+int(n)], func(seq uint64, b Batch) error {

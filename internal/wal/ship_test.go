@@ -33,7 +33,7 @@ func shipManager(t *testing.T, n int) (*Manager, *MemFS) {
 func decodeAll(t *testing.T, data []byte) (gens []uint64, seqs []uint64, batches []Batch) {
 	t.Helper()
 	err := DecodeSegments(data,
-		func(g uint64) { gens = append(gens, g) },
+		func(g uint64) bool { gens = append(gens, g); return true },
 		func(g, seq uint64, b Batch) error {
 			seqs = append(seqs, seq)
 			batches = append(batches, b)

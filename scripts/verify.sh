@@ -4,8 +4,8 @@
 # the live update layer, the engine's cancellation paths, the HTTP
 # server's governor, the shard coordinator, and the facade lifecycle),
 # the benchmark/ module's own vet, tests and smoke run (a nested module
-# the root ./... patterns do not reach), and the replication and chaos
-# smokes. Run from the repo root.
+# the root ./... patterns do not reach), and the replication smoke. Run
+# from the repo root.
 set -eu
 
 echo "== go build =="
@@ -40,16 +40,13 @@ go test -race -run 'TestMergeDifferentialWorkloads|TestMergeGovernorEquivalence|
 echo "== go test -race (shard coordinator: merge, pruning, per-shard stats) =="
 go test -race ./internal/shard
 
-echo "== go test -race (chaos layer: fault scripts, listener/proxy/roundtripper) =="
-go test -race ./internal/chaos
-
 echo "== go test -race (sharded-vs-unsharded differential over all workloads) =="
 go test -race -run 'TestShardedDifferentialWorkloads' ./internal/integration
 
 echo "== go test -race (durability: WAL crash matrix, fault injection) =="
 go test -race ./internal/wal
 
-echo "== go test -race (replication: log shipping, follower fault matrix, router) =="
+echo "== go test -race (replication: log shipping, follower fault matrix incl. stalls, blackholes and bit flips, router) =="
 go test -race ./internal/repl
 
 echo "== go test -race (facade replication: bootstrap, re-bootstrap, stats oracle) =="
@@ -76,8 +73,5 @@ go test -C benchmark -run Smoke .
 
 echo "== replication smoke (primary + 2 replicas + router, replica kill mid-run) =="
 sh scripts/repl_smoke.sh
-
-echo "== chaos smoke (framed scans through a fault-injecting TCP proxy) =="
-sh scripts/chaos_smoke.sh
 
 echo "verify: all checks passed"
