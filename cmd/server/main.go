@@ -281,16 +281,16 @@ func runRouter(ctx context.Context, opts *options, started chan<- string) error 
 		return err
 	}
 	collector := obsv.NewCollector(0)
-	collector.RegisterGauge(obsv.MetricRouterEjections,
+	collector.RegisterCounter(obsv.MetricRouterEjections,
 		"Backends ejected from read routing (unready, unreachable, or beyond the staleness bound).",
 		func() float64 { return float64(rt.Status().Ejections) })
-	collector.RegisterGauge(obsv.MetricRouterStaleReads,
+	collector.RegisterCounter(obsv.MetricRouterStaleReads,
 		"Reads served from a replica beyond the staleness bound, marked with the X-Repl-Stale header.",
 		func() float64 { return float64(rt.Status().StaleReads) })
-	collector.RegisterGauge(obsv.MetricRouterReadsPrim,
+	collector.RegisterCounter(obsv.MetricRouterReadsPrim,
 		"Reads routed to the primary (failover or no healthy replica).",
 		func() float64 { return float64(rt.Status().PrimaryReads) })
-	collector.RegisterGauge(obsv.MetricRouterReadsRepl,
+	collector.RegisterCounter(obsv.MetricRouterReadsRepl,
 		"Reads routed to healthy replicas.",
 		func() float64 { return float64(rt.Status().ReplicaReads) })
 	mux := http.NewServeMux()

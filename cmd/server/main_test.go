@@ -271,6 +271,19 @@ func TestReplicaAndRouterModes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "rdfshapes_router") {
 		t.Fatalf("router metrics = %d: %s", resp.StatusCode, body)
 	}
+	// Monotonic _total series are exported as counters on both surfaces.
+	if want := "# TYPE rdfshapes_router_ejections_total counter\n"; !strings.Contains(string(body), want) {
+		t.Fatalf("router metrics lack %q:\n%s", want, body)
+	}
+	resp, err = http.Get(replica + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "# TYPE rdfshapes_repl_records_applied_total counter\n"; !strings.Contains(string(body), want) {
+		t.Fatalf("replica metrics lack %q:\n%s", want, body)
+	}
 
 	// Writes on the replica are refused with 403.
 	resp, err = http.PostForm(replica+"/update",

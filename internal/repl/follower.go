@@ -2,6 +2,7 @@ package repl
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/wal"
 )
 
@@ -138,8 +140,9 @@ func (f *Follower) Run(ctx context.Context) error {
 }
 
 // Sync performs one replication round synchronously: bootstrap when the
-// cursor is unset, otherwise one poll-and-apply pass. Exposed so tests
-// (and the facade's initial catch-up) can drive rounds deterministically.
+// cursor is unset, then poll and apply until caught up or failed.
+// Exposed so tests (and the facade's initial catch-up) can drive rounds
+// deterministically.
 // Rounds are mutually exclusive: a Sync concurrent with the Run loop
 // waits for the in-flight round rather than acting on its stale cursor.
 func (f *Follower) Sync(ctx context.Context) error {
@@ -153,7 +156,12 @@ func (f *Follower) Sync(ctx context.Context) error {
 			return err
 		}
 	}
-	return f.poll(ctx)
+	for {
+		again, err := f.poll(ctx)
+		if err != nil || !again {
+			return err
+		}
+	}
 }
 
 // Status snapshots the follower's state.
@@ -209,8 +217,13 @@ func (f *Follower) bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// poll requests the log suffix after the cursor and applies it.
-func (f *Follower) poll(ctx context.Context) error {
+// poll requests the cursor generation's log after the applied seq and
+// applies it. The primary answers one generation per request, so again
+// reports that the round is not over: the follower re-bootstrapped, or
+// finished a generation older than the primary's and moved to the next.
+// Only gen-1 and gen are retained, so a round crosses a rotation in at
+// most two requests.
+func (f *Follower) poll(ctx context.Context) (again bool, err error) {
 	f.mu.Lock()
 	gen, applied := f.gen, f.applied
 	f.mu.Unlock()
@@ -219,11 +232,11 @@ func (f *Follower) poll(ctx context.Context) error {
 	resp, err := get(ctx, f.client, url)
 	if err != nil {
 		f.fail(true, err)
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
 
-	primarySeq, _ := strconv.ParseUint(resp.Header.Get(HeaderSeq), 10, 64)
+	target, _ := strconv.ParseUint(resp.Header.Get(HeaderSeq), 10, 64)
 	primaryGen, _ := strconv.ParseUint(resp.Header.Get(HeaderGeneration), 10, 64)
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -231,114 +244,94 @@ func (f *Follower) poll(ctx context.Context) error {
 		// The cursor generation was checkpointed away while we lagged:
 		// resume from a fresh snapshot.
 		f.logf("repl: generation %d pruned on primary, re-bootstrapping", gen)
-		if err := f.bootstrap(ctx); err != nil {
-			return err
-		}
-		return f.poll(ctx)
+		return true, f.bootstrap(ctx)
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		err := fmt.Errorf("repl: wal request failed: %s: %s", resp.Status, body)
 		f.fail(true, err)
-		return err
+		return false, err
 	}
 
-	if primarySeq < applied {
+	if target < applied {
 		// The primary acknowledges fewer commits than we applied: it lost
 		// acknowledged state (a SyncNever crash, or a rebuilt primary).
 		// Our suffix never happened — replace everything.
-		f.logf("repl: primary seq %d behind applied %d, re-bootstrapping", primarySeq, applied)
-		if err := f.bootstrap(ctx); err != nil {
-			return err
-		}
-		return f.poll(ctx)
+		f.logf("repl: primary seq %d behind applied %d, re-bootstrapping", target, applied)
+		return true, f.bootstrap(ctx)
 	}
 
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		// Connection cut mid-stream: decode whatever arrived whole, then
+		// Connection cut mid-stream: apply whatever arrived whole, then
 		// resume from the new cursor on the next round.
 		f.fail(true, err)
-		f.applyStream(body, gen, primaryGen)
-		return err
+		f.applyLog(body, gen)
+		return false, err
 	}
-	if derr := f.applyStream(body, gen, primaryGen); derr != nil {
-		if wal.IsTorn(derr) {
+	if err := f.applyLog(body, gen); err != nil {
+		if errors.Is(err, frame.ErrTorn) {
 			f.mu.Lock()
 			f.tornStreams++
-			f.lastErr = derr.Error()
+			f.lastErr = err.Error()
 			f.mu.Unlock()
-			return derr
+		} else {
+			f.fail(false, err)
 		}
-		f.fail(false, derr)
-		return derr
+		return false, err
 	}
 	if err := f.cfg.Target.Flush(); err != nil {
 		f.fail(false, err)
-		return err
+		return false, err
 	}
 
 	f.mu.Lock()
-	f.primarySeq = primarySeq
-	applied = f.applied
-	f.mu.Unlock()
-	if applied < primarySeq {
-		// The headers promised lastSeq and the body was built in the same
-		// locked read, so a clean decode that still leaves us short means
-		// the stream was cut on a frame boundary: an incomplete round.
-		f.mu.Lock()
-		f.tornStreams++
-		f.lastErr = fmt.Sprintf("incomplete stream: applied %d of %d", applied, primarySeq)
-		f.mu.Unlock()
-		return fmt.Errorf("repl: incomplete stream: applied %d, primary at %d", applied, primarySeq)
+	defer f.mu.Unlock()
+	current := gen >= primaryGen
+	if current {
+		f.primarySeq = target
 	}
-	f.mu.Lock()
+	if f.applied < target {
+		// The body was built in the same locked read as the target, so a
+		// clean decode that still leaves us short means it was cut on a
+		// record boundary: an incomplete round, in any generation.
+		f.tornStreams++
+		f.lastErr = fmt.Sprintf("incomplete stream: applied %d of %d", f.applied, target)
+		return false, fmt.Errorf("repl: incomplete stream: applied %d, generation %d reaches %d", f.applied, gen, target)
+	}
+	if !current {
+		// Generation gen is exhausted; the log continues in the next.
+		f.gen = gen + 1
+		return true, nil
+	}
 	f.connected = true
 	f.lastErr = ""
 	f.lastCaughtUp = time.Now()
-	f.mu.Unlock()
-	return nil
+	return false, nil
 }
 
-// applyStream decodes a segment stream and applies each fresh record,
-// advancing the cursor record by record so any interruption resumes
-// exactly after the last applied commit. Returns the decode error, if
-// any; records before a tear have already been applied.
-//
-// The primary ships one segment per generation, fromGen through
-// curGen (its X-Repl-Generation header) in order, so any other segment
-// generation is a corrupt header: it is rejected as a torn stream
-// rather than moving the cursor to a generation the primary never had.
-func (f *Follower) applyStream(body []byte, fromGen, curGen uint64) error {
-	want := fromGen
-	err := wal.DecodeSegments(body,
-		func(g uint64) bool {
-			if g != want || g > curGen {
-				return false
-			}
-			want++
-			// Reaching a segment header means every prior segment applied
-			// fully; the cursor generation may advance.
-			f.mu.Lock()
-			f.gen = g
-			f.mu.Unlock()
-			return true
-		},
-		func(g, seq uint64, b wal.Batch) error {
-			f.mu.Lock()
-			applied := f.applied
-			f.mu.Unlock()
-			if seq <= applied {
-				return nil // replayed overlap; set-semantics make this safe to skip
-			}
-			if err := f.cfg.Target.Apply(seq, b); err != nil {
-				return err
-			}
-			f.mu.Lock()
-			f.applied = seq
-			f.records++
-			f.mu.Unlock()
-			return nil
-		})
+// applyLog decodes a /repl/wal body with wal.ScanLog, the scan recovery
+// runs, and applies each fresh record, advancing the cursor record by
+// record so any interruption resumes exactly after the last applied
+// commit. A header naming any generation but gen is a tear, so a
+// corrupt header never moves the cursor. Records before a tear have
+// been applied and published when it returns.
+func (f *Follower) applyLog(body []byte, gen uint64) error {
+	_, err := wal.ScanLog(body, gen, func(seq uint64, b wal.Batch) error {
+		f.mu.Lock()
+		applied := f.applied
+		f.mu.Unlock()
+		if seq <= applied {
+			return nil // replayed overlap; set-semantics make this safe to skip
+		}
+		if err := f.cfg.Target.Apply(seq, b); err != nil {
+			return err
+		}
+		f.mu.Lock()
+		f.applied = seq
+		f.records++
+		f.mu.Unlock()
+		return nil
+	})
 	if err != nil {
 		// Publish what did apply before the error surfaced.
 		_ = f.cfg.Target.Flush()

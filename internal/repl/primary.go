@@ -19,10 +19,11 @@ type Primary struct {
 // NewPrimary wraps a shipping source (typically the DB's *wal.Manager).
 func NewPrimary(src Source) *Primary { return &Primary{src: src} }
 
-// ServeWAL answers GET /repl/wal?gen=G&from=S with the encoded segment
-// stream after (G, S). The response carries the primary's current
-// generation and last sequence number in headers, so a caught-up
-// follower learns it is caught up from an empty stream. A pruned
+// ServeWAL answers GET /repl/wal?gen=G&from=S with wal-G.log's header
+// and its records after S. The response carries the primary's current
+// generation and the sequence number the body reaches in headers, so a
+// caught-up follower learns it is caught up from a header-only body and
+// a follower on an older generation learns to move on. A pruned
 // generation answers 410 Gone — the follower's cue to re-bootstrap from
 // /repl/snapshot.
 func (p *Primary) ServeWAL(w http.ResponseWriter, r *http.Request) {
@@ -43,9 +44,9 @@ func (p *Primary) ServeWAL(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	segs, curGen, lastSeq, err := p.src.ReadSegments(gen, from)
+	seg, curGen, target, err := p.src.ReadSegment(gen, from)
 	w.Header().Set(HeaderGeneration, strconv.FormatUint(curGen, 10))
-	w.Header().Set(HeaderSeq, strconv.FormatUint(lastSeq, 10))
+	w.Header().Set(HeaderSeq, strconv.FormatUint(target, 10))
 	switch {
 	case err == nil:
 	case errors.Is(err, wal.ErrGenPruned):
@@ -60,7 +61,7 @@ func (p *Primary) ServeWAL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	_, _ = w.Write(wal.EncodeSegments(segs))
+	_, _ = w.Write(seg)
 }
 
 // ServeSnapshot answers GET /repl/snapshot with the current checkpoint

@@ -5,8 +5,8 @@
 // The primary side (Primary) serves two endpoints over the WAL
 // manager's shipping surface:
 //
-//	GET /repl/wal?gen=G&from=S   framed WAL records after (G, S), one
-//	                             segment per on-disk generation;
+//	GET /repl/wal?gen=G&from=S   wal-G.log's header and its records
+//	                             after S, one generation per response;
 //	                             410 Gone when G has been pruned
 //	GET /repl/snapshot           the current checkpoint snapshot, for
 //	                             follower bootstrap
@@ -51,7 +51,9 @@ const (
 	// HeaderGeneration carries the primary's current WAL generation on
 	// /repl/wal and the snapshot's generation on /repl/snapshot.
 	HeaderGeneration = "X-Repl-Generation"
-	// HeaderSeq carries the primary's last appended sequence number.
+	// HeaderSeq carries the sequence number a /repl/wal body must bring
+	// the follower to: the primary's last appended one for the current
+	// generation, the last one logged in an older generation.
 	HeaderSeq = "X-Repl-Seq"
 	// HeaderStale marks a degraded read served from a replica beyond the
 	// staleness bound; the value is the staleness in seconds.
@@ -61,10 +63,11 @@ const (
 // Source is the primary-side shipping surface; *wal.Manager implements
 // it.
 type Source interface {
-	// ReadSegments returns the log suffix after (fromGen, fromSeq), the
-	// current generation, and the last appended sequence number;
-	// wal.ErrGenPruned when fromGen is no longer on disk.
-	ReadSegments(fromGen, fromSeq uint64) ([]wal.Segment, uint64, uint64, error)
+	// ReadSegment returns generation gen's WAL-file suffix after seq
+	// from, the current generation, and the sequence number the segment
+	// must bring its reader to; wal.ErrGenPruned when gen is no longer
+	// on disk.
+	ReadSegment(gen, from uint64) ([]byte, uint64, uint64, error)
 	// SnapshotData returns the current checkpoint snapshot and its
 	// generation.
 	SnapshotData() (uint64, []byte, error)

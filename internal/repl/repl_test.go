@@ -1,7 +1,6 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/rdf"
 	"rdfshapes/internal/store"
 	"rdfshapes/internal/wal"
@@ -53,7 +53,7 @@ type memTarget struct {
 func newMemTarget() *memTarget { return &memTarget{triples: map[rdf.Triple]bool{}} }
 
 func (t *memTarget) Bootstrap(gen uint64, snapshot []byte) error {
-	st, err := store.ReadSnapshot(bytes.NewReader(snapshot))
+	st, err := store.ReadSnapshot(snapshot)
 	if err != nil {
 		return err
 	}
@@ -343,8 +343,8 @@ const (
 	bitFlip                      // one bit flipped at the offset, body otherwise whole
 )
 
-// faultyHandler serves an inner handler's /repl/wal responses damaged
-// at byte offset at (-1: pass through).
+// faultyHandler serves an inner handler's /repl/wal responses for
+// generation 1 damaged at byte offset at (-1: pass through).
 type faultyHandler struct {
 	inner http.Handler
 	mu    sync.Mutex
@@ -362,7 +362,7 @@ func (h *faultyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	at, fault := h.at, h.fault
 	h.mu.Unlock()
-	if at < 0 || r.URL.Path != WALPath {
+	if at < 0 || r.URL.Path != WALPath || r.URL.Query().Get("gen") != "1" {
 		h.inner.ServeHTTP(w, r)
 		return
 	}
@@ -396,26 +396,38 @@ func (h *faultyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	panic(http.ErrAbortHandler)
 }
 
-// tornStreamCase runs the damaged-stream matrix over every offset of a
-// five-record stream, in one of three delivery modes. Whatever a damaged
-// round applies is a prefix of the primary's log, a round that reports
-// success holds exactly the oracle, the cursor never leaves the
-// primary's one generation, and the next clean round converges without
-// a re-bootstrap.
-func tornStreamCase(t *testing.T, fault streamFault) {
+// tornStreamCase runs the damaged-stream matrix over every offset of the
+// /repl/wal body for generation 1, in one of three delivery modes. With
+// gens 1 the primary holds five commits in one generation and the
+// follower bootstraps; with gens 2 a checkpoint splits them three and
+// two, and the follower starts on generation 1, so the damage lands in
+// the older generation of a round that must cross the rotation.
+// Whatever a damaged round applies is a prefix of the primary's log, a
+// round that reports success holds exactly the oracle, a damaged round
+// never moves the cursor past generation 1, and the next clean round
+// converges without a re-bootstrap.
+func tornStreamCase(t *testing.T, fault streamFault, gens int) {
 	f := newPrimaryFixture(t, 2)
-	f.append(5)
+	seed := map[rdf.Triple]bool{}
+	for tr := range f.oracle {
+		seed[tr] = true
+	}
+	f.append(3)
+	if gens == 2 {
+		f.checkpoint()
+	}
+	f.append(2)
 
 	proxyH := &faultyHandler{inner: f.mux, at: -1}
 	proxy := httptest.NewServer(proxyH)
 	defer proxy.Close()
 
-	// Probe the full wire size once.
-	segs, _, _, err := f.mgr.ReadSegments(1, 0)
+	// Probe the full generation 1 body size once.
+	seg, _, _, err := f.mgr.ReadSegment(1, 0)
 	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
+		t.Fatalf("ReadSegment: %v", err)
 	}
-	wireLen := len(wal.EncodeSegments(segs))
+	wireLen := len(seg)
 	last := wireLen
 	if fault == bitFlip {
 		last = wireLen - 1 // a flip needs a byte to land on
@@ -423,19 +435,28 @@ func tornStreamCase(t *testing.T, fault streamFault) {
 
 	for at := 0; at <= last; at++ {
 		tgt := newMemTarget()
-		fl := NewFollower(FollowerConfig{
+		cfg := FollowerConfig{
 			Primary:     proxy.URL,
 			Target:      tgt,
 			BackoffBase: time.Millisecond,
 			BackoffMax:  2 * time.Millisecond,
 			Seed:        int64(at + 1),
-		})
+		}
+		bootstraps := int64(1)
+		if gens == 2 {
+			// Start on generation 1 from its snapshot's contents.
+			for tr := range seed {
+				tgt.triples[tr] = true
+			}
+			cfg.StartGen, bootstraps = 1, 0
+		}
+		fl := NewFollower(cfg)
 		proxyH.set(at, fault)
 		err := fl.Sync(context.Background())
 		if err == nil && (fault == bitFlip || at < wireLen) {
 			t.Fatalf("at=%d: damaged sync reported success", at)
 		}
-		if fault == bitFlip && (!wal.IsTorn(err) || fl.Status().TornStreams != 1) {
+		if fault == bitFlip && (!errors.Is(err, frame.ErrTorn) || fl.Status().TornStreams != 1) {
 			t.Fatalf("at=%d: flipped bit surfaced as %v, %d torn streams counted; want one torn stream",
 				at, err, fl.Status().TornStreams)
 		}
@@ -446,25 +467,38 @@ func tornStreamCase(t *testing.T, fault streamFault) {
 				t.Fatalf("at=%d: applied %v is not a prefix of 1..5", at, applied)
 			}
 		}
+		wantGen := uint64(1)
 		if err == nil {
 			assertConverged(t, f, tgt)
+			wantGen = uint64(gens)
 		}
-		if st := fl.Status(); st.Generation != 1 {
-			t.Fatalf("at=%d: cursor moved to generation %d, primary only has 1", at, st.Generation)
+		if st := fl.Status(); st.Generation != wantGen {
+			t.Fatalf("at=%d: cursor on generation %d after err=%v, want %d", at, st.Generation, err, wantGen)
 		}
 		// The retry resumes from the follower's cursor and converges.
 		proxyH.set(-1, fault)
 		mustSync(t, fl)
 		assertConverged(t, f, tgt)
-		if st := fl.Status(); st.AppliedSeq != 5 || st.Bootstraps != 1 {
-			t.Fatalf("at=%d: applied seq %d after %d bootstraps, want 5 after 1", at, st.AppliedSeq, st.Bootstraps)
+		if st := fl.Status(); st.AppliedSeq != 5 || st.Bootstraps != bootstraps || st.Generation != uint64(gens) {
+			t.Fatalf("at=%d: applied seq %d on generation %d after %d bootstraps, want 5 on %d after %d",
+				at, st.AppliedSeq, st.Generation, st.Bootstraps, gens, bootstraps)
 		}
 	}
 }
 
-func TestFollowerTornStreamEveryBoundary(t *testing.T)   { tornStreamCase(t, cleanCut) }
-func TestFollowerKilledConnectionMidRecord(t *testing.T) { tornStreamCase(t, killedCut) }
-func TestFollowerBitFlipEveryOffset(t *testing.T)        { tornStreamCase(t, bitFlip) }
+func TestFollowerTornStreamEveryBoundary(t *testing.T)   { tornStreamCase(t, cleanCut, 1) }
+func TestFollowerKilledConnectionMidRecord(t *testing.T) { tornStreamCase(t, killedCut, 1) }
+func TestFollowerBitFlipEveryOffset(t *testing.T)        { tornStreamCase(t, bitFlip, 1) }
+
+// TestFollowerTornOlderGeneration damages the older generation of a
+// round that crosses a rotation, in every delivery mode: a body cut on a
+// record boundary there is still an incomplete round, because its
+// target is the generation's own last seq.
+func TestFollowerTornOlderGeneration(t *testing.T) {
+	for _, fault := range []streamFault{cleanCut, killedCut, bitFlip} {
+		tornStreamCase(t, fault, 2)
+	}
+}
 
 func TestFollowerCrashDuringApplyAndRejoin(t *testing.T) {
 	f := newPrimaryFixture(t, 2)

@@ -263,16 +263,16 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 				}
 				return 0
 			})
-		h.obs.RegisterGauge(obsv.MetricReplApplied,
+		h.obs.RegisterCounter(obsv.MetricReplApplied,
 			"Shipped WAL records applied since the replica started.",
 			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.RecordsApplied) })
-		h.obs.RegisterGauge(obsv.MetricReplReconnects,
+		h.obs.RegisterCounter(obsv.MetricReplReconnects,
 			"Times the follower lost its connection to the primary and reconnected with backoff.",
 			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.Reconnects) })
-		h.obs.RegisterGauge(obsv.MetricReplBootstraps,
+		h.obs.RegisterCounter(obsv.MetricReplBootstraps,
 			"Times the replica re-bootstrapped from a fresh primary snapshot (pruned generation or diverged primary).",
 			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.Bootstraps) })
-		h.obs.RegisterGauge(obsv.MetricReplTornStreams,
+		h.obs.RegisterCounter(obsv.MetricReplTornStreams,
 			"Log streams that arrived torn mid-record; the intact prefix was applied and the rest re-requested.",
 			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.TornStreams) })
 	}

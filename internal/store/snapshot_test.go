@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
-	"strings"
 	"testing"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/rdf"
 )
 
@@ -17,7 +16,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadSnapshot(&buf)
+	rt, err := ReadSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +54,7 @@ func TestSnapshotPreservesLiterals(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadSnapshot(&buf)
+	rt, err := ReadSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestSnapshotEmptyStoreRoundTrip(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadSnapshot(&buf)
+	rt, err := ReadSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestSnapshotTypeIDZeroRoundTrip(t *testing.T) {
 	if err := st.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := ReadSnapshot(&buf)
+	rt, err := ReadSnapshot(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,73 +126,54 @@ func TestSnapshotErrors(t *testing.T) {
 		"short header": "RDF",
 	}
 	for name, input := range cases {
-		if _, err := ReadSnapshot(strings.NewReader(input)); err == nil {
-			t.Errorf("%s: ReadSnapshot succeeded", name)
+		if _, err := ReadSnapshot([]byte(input)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 }
 
-// TestSnapshotChecksumRejectsBitFlips flips every byte of a valid v2
-// snapshot in turn; each mutation must be rejected (CRC32C detects all
-// single-byte errors) and CRC failures must match ErrCorrupt.
-func TestSnapshotChecksumRejectsBitFlips(t *testing.T) {
-	st := Load(testGraph())
+// validSnapshot returns the snapshot bytes of the test graph's store.
+func validSnapshot(t *testing.T) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
+	if err := Load(testGraph()).WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	valid := buf.Bytes()
-	sawCorrupt := false
+	return buf.Bytes()
+}
+
+// TestSnapshotChecksumRejectsBitFlips flips every byte of a valid
+// snapshot in turn; each mutation must be rejected with ErrCorrupt
+// (CRC32C detects all single-byte errors).
+func TestSnapshotChecksumRejectsBitFlips(t *testing.T) {
+	valid := validSnapshot(t)
 	for i := range valid {
 		mutated := append([]byte(nil), valid...)
 		mutated[i] ^= 0x40
-		_, err := ReadSnapshot(bytes.NewReader(mutated))
-		if err == nil {
-			t.Fatalf("bit flip at byte %d accepted", i)
+		if _, err := ReadSnapshot(mutated); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip at byte %d: err = %v, want ErrCorrupt", i, err)
 		}
-		if errors.Is(err, ErrCorrupt) {
-			sawCorrupt = true
-		}
-	}
-	if !sawCorrupt {
-		t.Error("no bit flip produced ErrCorrupt")
-	}
-	// flips past the magic are always integrity failures
-	mutated := append([]byte(nil), valid...)
-	mutated[len(mutated)-1] ^= 0x01 // checksum byte
-	if _, err := ReadSnapshot(bytes.NewReader(mutated)); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("checksum flip: err = %v, want ErrCorrupt", err)
 	}
 }
 
-// TestSnapshotTruncationsRejected truncates a valid v2 snapshot at every
-// byte boundary; every proper prefix must fail cleanly (no panic).
+// TestSnapshotTruncationsRejected truncates a valid snapshot at every
+// byte boundary; every proper prefix must fail with ErrCorrupt.
 func TestSnapshotTruncationsRejected(t *testing.T) {
-	st := Load(testGraph())
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
+	valid := validSnapshot(t)
 	for i := 0; i < len(valid); i++ {
-		if _, err := ReadSnapshot(bytes.NewReader(valid[:i])); err == nil {
-			t.Fatalf("truncation at byte %d/%d accepted", i, len(valid))
+		if _, err := ReadSnapshot(valid[:i]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("truncation at byte %d/%d: err = %v, want ErrCorrupt", i, len(valid), err)
 		}
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(valid)); err != nil {
+	if _, err := ReadSnapshot(valid); err != nil {
 		t.Fatalf("full snapshot rejected: %v", err)
 	}
 }
 
 func TestSnapshotTrailingDataRejected(t *testing.T) {
-	st := Load(testGraph())
-	var buf bytes.Buffer
-	if err := st.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	buf.WriteString("extra")
-	if _, err := ReadSnapshot(&buf); err == nil {
-		t.Error("trailing data accepted")
+	data := append(validSnapshot(t), "extra"...)
+	if _, err := ReadSnapshot(data); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("trailing data: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -212,8 +192,8 @@ func TestSnapshotCorruptTripleIDsRejected(t *testing.T) {
 	buf.WriteByte(1)             // P
 	buf.WriteByte(1)             // O
 	file := append([]byte(snapshotMagic), buf.Bytes()...)
-	file = binary.LittleEndian.AppendUint32(file, crc32.Checksum(buf.Bytes(), castagnoli))
-	if _, err := ReadSnapshot(bytes.NewReader(file)); !errors.Is(err, ErrCorrupt) {
+	file = binary.LittleEndian.AppendUint32(file, frame.Checksum(buf.Bytes()))
+	if _, err := ReadSnapshot(file); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("out-of-range term ID: err = %v, want ErrCorrupt", err)
 	}
 }

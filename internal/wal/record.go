@@ -3,19 +3,17 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/rdf"
 )
 
-// WAL file layout:
+// WAL file layout, on the internal/frame codec:
 //
-//	header  := magic "RDFWAL01" (8 bytes) | generation (8 bytes LE)
-//	record  := payloadLen (4 bytes LE) | crc32c(payload) (4 bytes LE) | payload
+//	file    := frame header ("RDFWAL01", generation) | frame record*
 //	payload := seq uvarint | nInsert uvarint | nDelete uvarint
 //	           | nInsert triples | nDelete triples
 //	triple  := term term term
-//	term    := kind (1 byte) | value | datatype | lang   (uvarint-length-prefixed)
 //
 // Records are append-only; a record is durable once its bytes and every
 // byte before it are fsynced. Recovery scans records in order and stops
@@ -23,17 +21,10 @@ import (
 // or corrupt (checksum or structural mismatch), truncating the file back
 // to the end of the last valid record — the tail past an fsync barrier
 // is by definition unacknowledged, so dropping it never loses an
-// acknowledged commit.
+// acknowledged commit. A /repl/wal body is the header plus a suffix of
+// the records, and a follower decodes it with the same ScanLog.
 
-const (
-	walMagic      = "RDFWAL01"
-	walHeaderLen  = len(walMagic) + 8 // magic + generation
-	frameLen      = 8                 // payloadLen + crc32c
-	maxRecordLen  = 1 << 30           // sanity bound on a single record frame
-	maxBatchTerms = 1 << 27           // sanity bound on decoded triple counts
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+const walMagic = "RDFWAL01"
 
 // Batch is one durably logged commit: the triples a SPARQL UPDATE
 // operation asked to insert and delete. Replay re-applies batches in log
@@ -44,200 +35,64 @@ type Batch struct {
 	Delete []rdf.Triple
 }
 
-// encodeHeader renders the 16-byte WAL file header.
-func encodeHeader(gen uint64) []byte {
-	buf := make([]byte, walHeaderLen)
-	copy(buf, walMagic)
-	binary.LittleEndian.PutUint64(buf[len(walMagic):], gen)
-	return buf
-}
-
-// decodeHeader validates a WAL file header and returns its generation.
-func decodeHeader(data []byte) (uint64, error) {
-	if len(data) < walHeaderLen {
-		return 0, fmt.Errorf("wal: header truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("wal: bad magic %q", data[:len(walMagic)])
-	}
-	return binary.LittleEndian.Uint64(data[len(walMagic):walHeaderLen]), nil
-}
-
-func appendUvarint(buf []byte, v uint64) []byte {
-	var scratch [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(scratch[:], v)
-	return append(buf, scratch[:n]...)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendTerm(buf []byte, t rdf.Term) []byte {
-	buf = append(buf, byte(t.Kind))
-	buf = appendString(buf, t.Value)
-	buf = appendString(buf, t.Datatype)
-	return appendString(buf, t.Lang)
-}
-
-// encodeRecord renders one framed record: length, checksum, payload.
+// encodeRecord renders one framed record.
 func encodeRecord(seq uint64, b Batch) []byte {
-	payload := appendUvarint(nil, seq)
-	payload = appendUvarint(payload, uint64(len(b.Insert)))
-	payload = appendUvarint(payload, uint64(len(b.Delete)))
-	for _, t := range b.Insert {
-		payload = appendTerm(payload, t.S)
-		payload = appendTerm(payload, t.P)
-		payload = appendTerm(payload, t.O)
-	}
-	for _, t := range b.Delete {
-		payload = appendTerm(payload, t.S)
-		payload = appendTerm(payload, t.P)
-		payload = appendTerm(payload, t.O)
-	}
-	rec := make([]byte, frameLen, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
-	return append(rec, payload...)
-}
-
-// byteCursor decodes a payload from a byte slice with bounds checking.
-type byteCursor struct {
-	data []byte
-	off  int
-}
-
-func (c *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wal: bad uvarint at payload offset %d", c.off)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *byteCursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(c.data)-c.off) {
-		return "", fmt.Errorf("wal: string length %d exceeds payload", n)
-	}
-	s := string(c.data[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s, nil
-}
-
-func (c *byteCursor) term() (rdf.Term, error) {
-	if c.off >= len(c.data) {
-		return rdf.Term{}, fmt.Errorf("wal: truncated term at payload offset %d", c.off)
-	}
-	kind := rdf.TermKind(c.data[c.off])
-	c.off++
-	if kind > rdf.Blank {
-		return rdf.Term{}, fmt.Errorf("wal: invalid term kind %d", kind)
-	}
-	var t rdf.Term
-	t.Kind = kind
-	var err error
-	if t.Value, err = c.str(); err != nil {
-		return rdf.Term{}, err
-	}
-	if t.Datatype, err = c.str(); err != nil {
-		return rdf.Term{}, err
-	}
-	if t.Lang, err = c.str(); err != nil {
-		return rdf.Term{}, err
-	}
-	return t, nil
-}
-
-func (c *byteCursor) triples(n uint64) ([]rdf.Triple, error) {
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]rdf.Triple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var tr rdf.Triple
-		var err error
-		if tr.S, err = c.term(); err != nil {
-			return nil, err
+	p := binary.AppendUvarint(nil, seq)
+	p = binary.AppendUvarint(p, uint64(len(b.Insert)))
+	p = binary.AppendUvarint(p, uint64(len(b.Delete)))
+	for _, ts := range [2][]rdf.Triple{b.Insert, b.Delete} {
+		for _, t := range ts {
+			p = frame.AppendTerm(frame.AppendTerm(frame.AppendTerm(p, t.S), t.P), t.O)
 		}
-		if tr.P, err = c.term(); err != nil {
-			return nil, err
-		}
-		if tr.O, err = c.term(); err != nil {
-			return nil, err
-		}
-		out = append(out, tr)
 	}
-	return out, nil
+	return frame.AppendRecord(nil, p)
 }
 
 // decodeRecord parses one record payload.
-func decodeRecord(payload []byte) (seq uint64, b Batch, err error) {
-	c := &byteCursor{data: payload}
-	if seq, err = c.uvarint(); err != nil {
-		return 0, Batch{}, err
-	}
-	nIns, err := c.uvarint()
-	if err != nil {
-		return 0, Batch{}, err
-	}
-	nDel, err := c.uvarint()
-	if err != nil {
-		return 0, Batch{}, err
-	}
-	if nIns > maxBatchTerms || nDel > maxBatchTerms {
-		return 0, Batch{}, fmt.Errorf("wal: batch size %d/%d exceeds limit", nIns, nDel)
-	}
-	if b.Insert, err = c.triples(nIns); err != nil {
-		return 0, Batch{}, err
-	}
-	if b.Delete, err = c.triples(nDel); err != nil {
-		return 0, Batch{}, err
-	}
-	if c.off != len(payload) {
-		return 0, Batch{}, fmt.Errorf("wal: %d trailing payload bytes", len(payload)-c.off)
-	}
-	return seq, b, nil
+func decodeRecord(payload []byte) (uint64, Batch, error) {
+	c := frame.NewCursor(payload)
+	seq := c.Uvarint()
+	var b Batch
+	nIns := c.Count(3 * frame.MinTermLen)
+	nDel := c.Count(3 * frame.MinTermLen)
+	b.Insert = triples(c, nIns)
+	b.Delete = triples(c, nDel)
+	return seq, b, c.Done()
 }
 
-// scanRecords walks the framed records in data (the file contents after
-// the header), calling fn for each valid record. It returns the number
-// of bytes of the valid prefix (relative to the start of data) and nil
-// when the file ends exactly on a record boundary; a torn or corrupt
-// tail returns the length of the valid prefix plus a non-nil tear
-// describing what stopped the scan. An error from fn also stops the
-// scan, with the valid prefix ending before the offending record.
-func scanRecords(data []byte, fn func(seq uint64, b Batch) error) (validLen int, tear error) {
-	off := 0
-	for off < len(data) {
-		if len(data)-off < frameLen {
-			return off, fmt.Errorf("wal: torn frame header at offset %d", off)
-		}
-		plen := binary.LittleEndian.Uint32(data[off : off+4])
-		sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-		if plen == 0 || plen > maxRecordLen {
-			return off, fmt.Errorf("wal: implausible record length %d at offset %d", plen, off)
-		}
-		if uint64(len(data)-off-frameLen) < uint64(plen) {
-			return off, fmt.Errorf("wal: torn record payload at offset %d", off)
-		}
-		payload := data[off+frameLen : off+frameLen+int(plen)]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, fmt.Errorf("wal: checksum mismatch at offset %d", off)
-		}
+func triples(c *frame.Cursor, n int) []rdf.Triple {
+	if n == 0 {
+		return nil
+	}
+	out := make([]rdf.Triple, n)
+	for i := range out {
+		out[i] = rdf.Triple{S: c.Term(), P: c.Term(), O: c.Term()}
+	}
+	return out
+}
+
+// ScanLog walks a WAL file image: wal-<gen>.log as recovery reads it, or
+// a /repl/wal body, which is that file's header plus a suffix of its
+// records. It checks that the header names generation gen, then calls fn
+// for every valid record in order. It returns the length of the valid
+// prefix, header included (0 when the header is torn or names another
+// generation), and nil when data ends on a record boundary; otherwise a
+// frame.ErrTorn tear. An error from fn stops the scan before that record
+// and is returned as is.
+func ScanLog(data []byte, gen uint64, fn func(seq uint64, b Batch) error) (int, error) {
+	hdrGen, err := frame.ParseHeader(data, walMagic)
+	if err == nil && hdrGen != gen {
+		err = fmt.Errorf("%w: header names generation %d, want %d", frame.ErrTorn, hdrGen, gen)
+	}
+	if err != nil {
+		return 0, err
+	}
+	n, err := frame.Scan(data[frame.HeaderLen:], func(payload []byte) error {
 		seq, b, err := decodeRecord(payload)
 		if err != nil {
-			return off, fmt.Errorf("wal: undecodable record at offset %d: %w", off, err)
+			return err
 		}
-		if err := fn(seq, b); err != nil {
-			return off, err
-		}
-		off += frameLen + int(plen)
-	}
-	return off, nil
+		return fn(seq, b)
+	})
+	return frame.HeaderLen + n, err
 }

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/store"
 )
 
@@ -28,38 +30,47 @@ func shipManager(t *testing.T, n int) (*Manager, *MemFS) {
 	return m, fs
 }
 
-// decodeAll decodes a segment stream into (gen, seq, batch) tuples plus
-// the generations announced, failing the test on any decode error.
-func decodeAll(t *testing.T, data []byte) (gens []uint64, seqs []uint64, batches []Batch) {
+// decodeAll decodes a generation's segment into (seq, batch) pairs,
+// failing the test on any decode error.
+func decodeAll(t *testing.T, seg []byte, gen uint64) (seqs []uint64, batches []Batch) {
 	t.Helper()
-	err := DecodeSegments(data,
-		func(g uint64) bool { gens = append(gens, g); return true },
-		func(g, seq uint64, b Batch) error {
-			seqs = append(seqs, seq)
-			batches = append(batches, b)
-			return nil
-		})
-	if err != nil {
-		t.Fatalf("DecodeSegments: %v", err)
+	if _, err := ScanLog(seg, gen, func(seq uint64, b Batch) error {
+		seqs = append(seqs, seq)
+		batches = append(batches, b)
+		return nil
+	}); err != nil {
+		t.Fatalf("ScanLog: %v", err)
 	}
-	return gens, seqs, batches
+	return seqs, batches
+}
+
+// mustSegment reads a segment and checks the generation and target.
+func mustSegment(t *testing.T, m *Manager, gen, from, wantCur, wantTarget uint64) []byte {
+	t.Helper()
+	seg, cur, target, err := m.ReadSegment(gen, from)
+	if err != nil {
+		t.Fatalf("ReadSegment(%d, %d): %v", gen, from, err)
+	}
+	if cur != wantCur || target != wantTarget {
+		t.Fatalf("ReadSegment(%d, %d): current gen %d, target %d; want %d, %d", gen, from, cur, target, wantCur, wantTarget)
+	}
+	return seg
 }
 
 func TestReadSegmentsFromStart(t *testing.T) {
-	m, _ := shipManager(t, 5)
+	m, fs := shipManager(t, 5)
 	defer m.Close()
 
-	segs, gen, last, err := m.ReadSegments(1, 0)
+	seg := mustSegment(t, m, 1, 0, 1, 5)
+	// From the start, the segment is the WAL file itself.
+	file, err := fs.ReadFile(filepath.Join(testDir, walName(1)))
 	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
+		t.Fatal(err)
 	}
-	if gen != 1 || last != 5 {
-		t.Fatalf("gen=%d last=%d, want 1, 5", gen, last)
+	if !bytes.Equal(seg, file) {
+		t.Fatalf("segment from 0 is not wal-1.log: %d vs %d bytes", len(seg), len(file))
 	}
-	if len(segs) != 1 || segs[0].Gen != 1 {
-		t.Fatalf("segments %+v, want one segment for gen 1", segs)
-	}
-	_, seqs, batches := decodeAll(t, EncodeSegments(segs))
+	seqs, batches := decodeAll(t, seg, 1)
 	if want := []uint64{1, 2, 3, 4, 5}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("seqs %v, want %v", seqs, want)
 	}
@@ -74,25 +85,14 @@ func TestReadSegmentsFromSeqFilters(t *testing.T) {
 	m, _ := shipManager(t, 5)
 	defer m.Close()
 
-	segs, _, _, err := m.ReadSegments(1, 3)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	_, seqs, _ := decodeAll(t, EncodeSegments(segs))
+	seqs, _ := decodeAll(t, mustSegment(t, m, 1, 3, 1, 5), 1)
 	if want := []uint64{4, 5}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("seqs %v, want %v", seqs, want)
 	}
 
-	// Fully caught up: one empty segment for the active generation.
-	segs, _, last, err := m.ReadSegments(1, 5)
-	if err != nil {
-		t.Fatalf("ReadSegments caught-up: %v", err)
-	}
-	if last != 5 {
-		t.Fatalf("last=%d, want 5", last)
-	}
-	if len(segs) != 1 || len(segs[0].Records) != 0 {
-		t.Fatalf("caught-up segments %+v, want one empty segment", segs)
+	// Fully caught up: the header alone.
+	if seg := mustSegment(t, m, 1, 5, 1, 5); len(seg) != frame.HeaderLen {
+		t.Fatalf("caught-up segment is %d bytes, want the %d-byte header", len(seg), frame.HeaderLen)
 	}
 }
 
@@ -110,28 +110,27 @@ func TestReadSegmentsAcrossRotation(t *testing.T) {
 		}
 	}
 
-	// A follower still on gen 1 with seq 2 applied gets the tail of
-	// gen 1 plus all of gen 2, and learns the current gen from the
-	// segment list even though it did not witness the checkpoint.
-	segs, gen, last, err := m.ReadSegments(1, 2)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
+	// A follower still on gen 1 with seq 2 applied gets the tail of gen 1,
+	// whose target is gen 1's last seq, and learns the current gen from
+	// the response even though it did not witness the checkpoint.
+	seqs, _ := decodeAll(t, mustSegment(t, m, 1, 2, 2, 3), 1)
+	if want := []uint64{3}; !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("gen 1 seqs %v, want %v", seqs, want)
 	}
-	if gen != 2 || last != 5 {
-		t.Fatalf("gen=%d last=%d, want 2, 5", gen, last)
+	// Having exhausted gen 1, it asks gen 2 for the rest.
+	seqs, _ = decodeAll(t, mustSegment(t, m, 2, 3, 2, 5), 2)
+	if want := []uint64{4, 5}; !reflect.DeepEqual(seqs, want) {
+		t.Fatalf("gen 2 seqs %v, want %v", seqs, want)
 	}
-	gens, seqs, _ := decodeAll(t, EncodeSegments(segs))
-	if want := []uint64{1, 2}; !reflect.DeepEqual(gens, want) {
-		t.Fatalf("gens %v, want %v", gens, want)
-	}
-	if want := []uint64{3, 4, 5}; !reflect.DeepEqual(seqs, want) {
-		t.Fatalf("seqs %v, want %v", seqs, want)
+	// A gen 1 cursor already past gen 1's records targets its own seq.
+	if seg := mustSegment(t, m, 1, 3, 2, 3); len(seg) != frame.HeaderLen {
+		t.Fatalf("exhausted gen 1 segment is %d bytes, want the header", len(seg))
 	}
 }
 
 func TestReadSegmentsEmptyRotation(t *testing.T) {
-	// A checkpoint with no subsequent commits still surfaces the new
-	// generation as an empty segment, so a polling follower's cursor
+	// A checkpoint with no subsequent commits still answers for the new
+	// generation with its header, so a polling follower's cursor
 	// advances and a later prune cannot strand it.
 	m, _ := shipManager(t, 2)
 	defer m.Close()
@@ -140,12 +139,9 @@ func TestReadSegmentsEmptyRotation(t *testing.T) {
 	if _, err := m.Checkpoint(st.WriteSnapshot); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	segs, gen, _, err := m.ReadSegments(2, 2)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	if gen != 2 || len(segs) != 1 || segs[0].Gen != 2 || len(segs[0].Records) != 0 {
-		t.Fatalf("gen=%d segs=%+v, want gen 2 with one empty segment", gen, segs)
+	mustSegment(t, m, 1, 2, 2, 2)
+	if seqs, _ := decodeAll(t, mustSegment(t, m, 2, 2, 2, 2), 2); len(seqs) != 0 {
+		t.Fatalf("empty generation shipped records %v", seqs)
 	}
 }
 
@@ -159,13 +155,13 @@ func TestReadSegmentsPruned(t *testing.T) {
 			t.Fatalf("Checkpoint %d: %v", i, err)
 		}
 	}
-	if _, _, _, err := m.ReadSegments(1, 2); !errors.Is(err, ErrGenPruned) {
-		t.Fatalf("ReadSegments(pruned gen) err=%v, want ErrGenPruned", err)
+	if _, _, _, err := m.ReadSegment(1, 2); !errors.Is(err, ErrGenPruned) {
+		t.Fatalf("ReadSegment(pruned gen) err=%v, want ErrGenPruned", err)
 	}
 	// A generation from the future (divergent follower) is equally
 	// unanswerable and must force a re-bootstrap.
-	if _, _, _, err := m.ReadSegments(99, 0); !errors.Is(err, ErrGenPruned) {
-		t.Fatalf("ReadSegments(future gen) err=%v, want ErrGenPruned", err)
+	if _, _, _, err := m.ReadSegment(99, 0); !errors.Is(err, ErrGenPruned) {
+		t.Fatalf("ReadSegment(future gen) err=%v, want ErrGenPruned", err)
 	}
 }
 
@@ -188,15 +184,11 @@ func TestSnapshotDataPairsWithTail(t *testing.T) {
 	if gen != 2 {
 		t.Fatalf("snapshot gen %d, want 2", gen)
 	}
-	if _, err := store.ReadSnapshot(bytes.NewReader(data)); err != nil {
+	if _, err := store.ReadSnapshot(data); err != nil {
 		t.Fatalf("snapshot undecodable: %v", err)
 	}
 	// Tailing from (gen, 0) yields exactly the post-snapshot commits.
-	segs, _, _, err := m.ReadSegments(gen, 0)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	_, seqs, _ := decodeAll(t, EncodeSegments(segs))
+	seqs, _ := decodeAll(t, mustSegment(t, m, gen, 0, 2, 4), gen)
 	if want := []uint64{4}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("post-snapshot seqs %v, want %v", seqs, want)
 	}
@@ -205,8 +197,8 @@ func TestSnapshotDataPairsWithTail(t *testing.T) {
 func TestReadSegmentsClosed(t *testing.T) {
 	m, _ := shipManager(t, 1)
 	m.Close()
-	if _, _, _, err := m.ReadSegments(1, 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("ReadSegments after Close err=%v, want ErrClosed", err)
+	if _, _, _, err := m.ReadSegment(1, 0); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ReadSegment after Close err=%v, want ErrClosed", err)
 	}
 	if _, _, err := m.SnapshotData(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SnapshotData after Close err=%v, want ErrClosed", err)
@@ -216,58 +208,49 @@ func TestReadSegmentsClosed(t *testing.T) {
 func TestDecodeSegmentsTornAtEveryBoundary(t *testing.T) {
 	m, _ := shipManager(t, 4)
 	defer m.Close()
-	segs, _, _, err := m.ReadSegments(1, 0)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	wire := EncodeSegments(segs)
+	seg := mustSegment(t, m, 1, 0, 1, 4)
 
 	// At every truncation point the decoder must deliver a valid prefix
-	// of the record sequence and flag the tear — never a partial,
-	// corrupt, or out-of-order record.
-	// cut=0 is excluded: an empty stream is a valid zero-segment answer.
-	for cut := 1; cut < len(wire); cut++ {
+	// of the record sequence and leave the round visibly incomplete: a
+	// tear, or — cut on a record boundary — a last seq short of the
+	// target. Never a partial, corrupt, or out-of-order record.
+	for cut := 0; cut < len(seg); cut++ {
 		var seqs []uint64
-		err := DecodeSegments(wire[:cut], nil, func(g, seq uint64, b Batch) error {
+		_, err := ScanLog(seg[:cut], 1, func(seq uint64, b Batch) error {
 			seqs = append(seqs, seq)
 			return nil
 		})
-		if err == nil {
-			t.Fatalf("cut=%d: torn stream decoded without error", cut)
-		}
-		if !IsTorn(err) {
-			t.Fatalf("cut=%d: err=%v, want IsTorn", cut, err)
-		}
 		for i, s := range seqs {
 			if s != uint64(i+1) {
 				t.Fatalf("cut=%d: seqs %v are not a prefix of 1..4", cut, seqs)
 			}
 		}
+		if err == nil && len(seqs) == 4 {
+			t.Fatalf("cut=%d: torn body decoded as complete", cut)
+		}
+		if err != nil && !errors.Is(err, frame.ErrTorn) {
+			t.Fatalf("cut=%d: err=%v, want frame.ErrTorn", cut, err)
+		}
 	}
-	// The full stream decodes clean.
-	_, seqs, _ := decodeAll(t, wire)
-	if want := []uint64{1, 2, 3, 4}; !reflect.DeepEqual(seqs, want) {
-		t.Fatalf("full decode seqs %v, want %v", seqs, want)
+	// The full body decodes clean and reaches the target.
+	if seqs, _ := decodeAll(t, seg, 1); !reflect.DeepEqual(seqs, []uint64{1, 2, 3, 4}) {
+		t.Fatalf("full decode seqs %v, want 1..4", seqs)
 	}
 }
 
 func TestDecodeSegmentsCorruptPayload(t *testing.T) {
 	m, _ := shipManager(t, 2)
 	defer m.Close()
-	segs, _, _, err := m.ReadSegments(1, 0)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
-	wire := EncodeSegments(segs)
-	wire[len(wire)-1] ^= 0xFF // flip a byte in the last record's payload
+	seg := mustSegment(t, m, 1, 0, 1, 2)
+	seg[len(seg)-1] ^= 0xFF // flip a byte in the last record's payload
 
 	var seqs []uint64
-	derr := DecodeSegments(wire, nil, func(g, seq uint64, b Batch) error {
+	_, derr := ScanLog(seg, 1, func(seq uint64, b Batch) error {
 		seqs = append(seqs, seq)
 		return nil
 	})
-	if !IsTorn(derr) {
-		t.Fatalf("corrupt stream err=%v, want IsTorn", derr)
+	if !errors.Is(derr, frame.ErrTorn) {
+		t.Fatalf("corrupt body err=%v, want frame.ErrTorn", derr)
 	}
 	if want := []uint64{1}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("seqs %v, want the intact prefix %v", seqs, want)
@@ -277,12 +260,8 @@ func TestDecodeSegmentsCorruptPayload(t *testing.T) {
 func TestDecodeSegmentsCallbackError(t *testing.T) {
 	m, _ := shipManager(t, 3)
 	defer m.Close()
-	segs, _, _, err := m.ReadSegments(1, 0)
-	if err != nil {
-		t.Fatalf("ReadSegments: %v", err)
-	}
 	boom := fmt.Errorf("apply failed")
-	derr := DecodeSegments(EncodeSegments(segs), nil, func(g, seq uint64, b Batch) error {
+	_, derr := ScanLog(mustSegment(t, m, 1, 0, 1, 3), 1, func(seq uint64, b Batch) error {
 		if seq == 2 {
 			return boom
 		}
@@ -291,7 +270,7 @@ func TestDecodeSegmentsCallbackError(t *testing.T) {
 	if !errors.Is(derr, boom) {
 		t.Fatalf("err=%v, want the callback error", derr)
 	}
-	if IsTorn(derr) {
+	if errors.Is(derr, frame.ErrTorn) {
 		t.Fatalf("callback error must not read as a torn stream")
 	}
 }
@@ -312,12 +291,12 @@ func TestReadSegmentsConcurrentWithAppend(t *testing.T) {
 		}
 	}()
 	for j := 0; j < 20; j++ {
-		segs, _, _, err := m.ReadSegments(1, 0)
+		seg, _, target, err := m.ReadSegment(1, 0)
 		if err != nil {
-			t.Fatalf("ReadSegments: %v", err)
+			t.Fatalf("ReadSegment: %v", err)
 		}
 		last := uint64(0)
-		if derr := DecodeSegments(EncodeSegments(segs), nil, func(g, seq uint64, b Batch) error {
+		if _, derr := ScanLog(seg, 1, func(seq uint64, b Batch) error {
 			if seq != last+1 {
 				return fmt.Errorf("gap: %d after %d", seq, last)
 			}
@@ -325,6 +304,9 @@ func TestReadSegmentsConcurrentWithAppend(t *testing.T) {
 			return nil
 		}); derr != nil {
 			t.Fatalf("decode during append: %v", derr)
+		}
+		if last != target {
+			t.Fatalf("segment reaches seq %d, target %d", last, target)
 		}
 	}
 	<-done

@@ -34,7 +34,6 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -43,6 +42,7 @@ import (
 	"strings"
 	"sync"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/store"
 )
 
@@ -269,7 +269,7 @@ func Open(dir string, opts Options) (*Manager, *store.Store, []Batch, error) {
 		g := snapGens[i]
 		data, rerr := fs.ReadFile(filepath.Join(dir, snapName(g)))
 		if rerr == nil {
-			st, derr := store.ReadSnapshot(bytes.NewReader(data))
+			st, derr := store.ReadSnapshot(data)
 			if derr == nil {
 				base, sgen = st, g
 				break
@@ -290,7 +290,7 @@ func Open(dir string, opts Options) (*Manager, *store.Store, []Batch, error) {
 	var batches []Batch
 	lastSeq := uint64(0)
 	activeGen := sgen
-	activeSize := int64(walHeaderLen)
+	activeSize := int64(frame.HeaderLen)
 	stop := false
 	for g := sgen; ; g++ {
 		if !wals[g] {
@@ -305,20 +305,7 @@ func Open(dir string, opts Options) (*Manager, *store.Store, []Batch, error) {
 		if rerr != nil {
 			return nil, nil, nil, fmt.Errorf("wal: reading %s: %w", path, rerr)
 		}
-		hdrGen, herr := decodeHeader(data)
-		if herr != nil || hdrGen != g {
-			// The header itself is torn (a crash during WAL creation) or
-			// the file is not ours: it holds nothing replayable. Recreate
-			// it empty; anything it contained was never acknowledged.
-			if err := m.recreateWAL(g); err != nil {
-				return nil, nil, nil, err
-			}
-			m.rec.TornTruncations++
-			activeGen, activeSize = g, int64(walHeaderLen)
-			stop = true
-			continue
-		}
-		n, tear := scanRecords(data[walHeaderLen:], func(seq uint64, b Batch) error {
+		n, tear := ScanLog(data, g, func(seq uint64, b Batch) error {
 			if seq <= lastSeq {
 				return fmt.Errorf("wal: sequence %d not after %d", seq, lastSeq)
 			}
@@ -326,10 +313,21 @@ func Open(dir string, opts Options) (*Manager, *store.Store, []Batch, error) {
 			batches = append(batches, b)
 			return nil
 		})
-		prefix := int64(walHeaderLen + n)
-		activeGen, activeSize = g, prefix
+		if n == 0 {
+			// The header itself is torn (a crash during WAL creation) or
+			// the file is not ours: it holds nothing replayable. Recreate
+			// it empty; anything it contained was never acknowledged.
+			if err := m.startWAL(g); err != nil {
+				return nil, nil, nil, err
+			}
+			m.rec.TornTruncations++
+			activeGen, activeSize = g, int64(frame.HeaderLen)
+			stop = true
+			continue
+		}
+		activeGen, activeSize = g, int64(n)
 		if tear != nil {
-			if err := fs.Truncate(path, prefix); err != nil {
+			if err := fs.Truncate(path, int64(n)); err != nil {
 				return nil, nil, nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 			}
 			m.rec.TornTruncations++
@@ -351,10 +349,10 @@ func Open(dir string, opts Options) (*Manager, *store.Store, []Batch, error) {
 		// Crash between a checkpoint's snapshot rename and its WAL
 		// creation: the snapshot is complete and authoritative, the WAL
 		// just needs to exist.
-		if err := m.recreateWAL(activeGen); err != nil {
+		if err := m.startWAL(activeGen); err != nil {
 			return nil, nil, nil, err
 		}
-		activeSize = int64(walHeaderLen)
+		activeSize = int64(frame.HeaderLen)
 	} else {
 		f, err := fs.Append(filepath.Join(dir, walName(activeGen)))
 		if err != nil {
@@ -379,28 +377,27 @@ func sortedGens(set map[uint64]bool) []uint64 {
 	return out
 }
 
-// recreateWAL replaces wal-<gen> with a fresh, fsynced, header-only file
-// and makes it the active log.
-func (m *Manager) recreateWAL(gen uint64) error {
+// startWAL creates wal-<gen> as a fresh, fsynced, header-only file and
+// makes it the active log, closing the previous one. On failure the new
+// file is removed (best effort) and the active log is unchanged.
+func (m *Manager) startWAL(gen uint64) error {
 	path := filepath.Join(m.dir, walName(gen))
 	f, err := m.fs.Create(path)
 	if err != nil {
-		return fmt.Errorf("wal: recreating %s: %w", path, err)
+		return fmt.Errorf("wal: starting %s: %w", path, err)
 	}
-	if _, err := f.Write(encodeHeader(gen)); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: recreating %s: %w", path, err)
+	if _, err = f.Write(frame.AppendHeader(nil, walMagic, gen)); err == nil {
+		if err = f.Sync(); err == nil {
+			err = m.fs.SyncDir(m.dir)
+		}
 	}
-	if err := f.Sync(); err != nil {
+	if err != nil {
 		f.Close()
-		return fmt.Errorf("wal: recreating %s: %w", path, err)
-	}
-	if err := m.fs.SyncDir(m.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: recreating %s: %w", path, err)
+		_ = m.fs.Remove(path)
+		return fmt.Errorf("wal: starting %s: %w", path, err)
 	}
 	if m.f != nil {
-		m.f.Close()
+		m.f.Close() // obsolete generation; nothing in it is needed anymore
 	}
 	m.f = f
 	return nil
@@ -412,11 +409,11 @@ func (m *Manager) initialize(gen uint64, write func(io.Writer) error) error {
 	if err := m.writeSnapshot(gen, write); err != nil {
 		return err
 	}
-	if err := m.recreateWAL(gen); err != nil {
+	if err := m.startWAL(gen); err != nil {
 		return err
 	}
 	m.gen = gen
-	m.size = int64(walHeaderLen)
+	m.size = int64(frame.HeaderLen)
 	return nil
 }
 
@@ -504,48 +501,18 @@ func (m *Manager) Checkpoint(write func(io.Writer) error) (uint64, error) {
 	// rotation must complete, or the snapshot must be removed, before
 	// any further append — otherwise post-checkpoint commits would land
 	// in a log generation recovery no longer reads.
-	if err := m.rotateWAL(newGen); err != nil {
+	if err := m.startWAL(newGen); err != nil {
 		if rerr := m.fs.Remove(filepath.Join(m.dir, snapName(newGen))); rerr != nil {
 			m.failed = fmt.Errorf("checkpoint rotation failed (%v) and snapshot rollback failed (%v)", err, rerr)
 		}
 		return 0, fmt.Errorf("wal: rotating log: %w", err)
 	}
 	m.gen = newGen
-	m.size = int64(walHeaderLen)
+	m.size = int64(frame.HeaderLen)
 	m.checkpoints++
 	m.failed = nil
 	m.prune()
 	return newGen, nil
-}
-
-// rotateWAL starts wal-<gen> and makes it the active log.
-func (m *Manager) rotateWAL(gen uint64) error {
-	path := filepath.Join(m.dir, walName(gen))
-	f, err := m.fs.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(encodeHeader(gen)); err != nil {
-		f.Close()
-		_ = m.fs.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = m.fs.Remove(path)
-		return err
-	}
-	if err := m.fs.SyncDir(m.dir); err != nil {
-		f.Close()
-		_ = m.fs.Remove(path)
-		return err
-	}
-	old := m.f
-	m.f = f
-	if old != nil {
-		old.Close() // obsolete generation; nothing in it is needed anymore
-	}
-	return nil
 }
 
 // prune removes generations older than the previous one (kept as the

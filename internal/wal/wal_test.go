@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rdfshapes/internal/frame"
 	"rdfshapes/internal/rdf"
 	"rdfshapes/internal/store"
 )
@@ -63,10 +64,10 @@ func TestRecordRoundTrip(t *testing.T) {
 			rdf.NewTriple(rdf.NewIRI("http://x/s"), rdf.NewIRI("http://x/p"), rdf.NewLiteral("x\ny")),
 		},
 	}
-	rec := encodeRecord(42, b)
+	img := append(frame.AppendHeader(nil, walMagic, 7), encodeRecord(42, b)...)
 	var got []Batch
 	var gotSeq uint64
-	n, tear := scanRecords(rec, func(seq uint64, b Batch) error {
+	n, tear := ScanLog(img, 7, func(seq uint64, b Batch) error {
 		gotSeq = seq
 		got = append(got, b)
 		return nil
@@ -74,8 +75,8 @@ func TestRecordRoundTrip(t *testing.T) {
 	if tear != nil {
 		t.Fatalf("tear on valid record: %v", tear)
 	}
-	if n != len(rec) {
-		t.Fatalf("valid prefix %d, want %d", n, len(rec))
+	if n != len(img) {
+		t.Fatalf("valid prefix %d, want %d", n, len(img))
 	}
 	if gotSeq != 42 {
 		t.Errorf("seq = %d, want 42", gotSeq)
@@ -83,43 +84,55 @@ func TestRecordRoundTrip(t *testing.T) {
 	if len(got) != 1 || !reflect.DeepEqual(got[0], b) {
 		t.Errorf("batch did not round-trip: %+v", got)
 	}
+	// A header naming another generation holds nothing replayable.
+	if n, err := ScanLog(img, 8, func(uint64, Batch) error { return nil }); n != 0 || !errors.Is(err, frame.ErrTorn) {
+		t.Errorf("foreign generation: prefix %d, err %v; want 0 and a tear", n, err)
+	}
 }
 
 func TestScanRecordsTornTails(t *testing.T) {
-	var data []byte
+	data := frame.AppendHeader(nil, walMagic, 1)
+	bounds := map[int]bool{len(data): true}
 	for i := 0; i < 3; i++ {
 		data = append(data, encodeRecord(uint64(i+1), batchN(i))...)
+		bounds[len(data)] = true
+	}
+	scan := func(img []byte) (int, error) {
+		return ScanLog(img, 1, func(uint64, Batch) error { return nil })
 	}
 	// every proper prefix must replay a record-aligned prefix and report
-	// a tear when it cuts a record
-	bounds := map[int]bool{0: true}
-	off := 0
-	for i := 0; i < 3; i++ {
-		off += len(encodeRecord(uint64(i+1), batchN(i)))
-		bounds[off] = true
-	}
+	// a tear when it cuts the header or a record
 	for cut := 0; cut <= len(data); cut++ {
-		n, tear := scanRecords(data[:cut], func(uint64, Batch) error { return nil })
+		n, tear := scan(data[:cut])
+		if cut < frame.HeaderLen {
+			if n != 0 || !errors.Is(tear, frame.ErrTorn) {
+				t.Fatalf("cut %d in header: prefix %d, tear %v; want 0 and a tear", cut, n, tear)
+			}
+			continue
+		}
 		if !bounds[n] {
 			t.Fatalf("cut %d: valid prefix %d is not a record boundary", cut, n)
 		}
 		if bounds[cut] && tear != nil {
 			t.Fatalf("cut %d on boundary: unexpected tear %v", cut, tear)
 		}
-		if !bounds[cut] && tear == nil {
-			t.Fatalf("cut %d mid-record: no tear reported", cut)
+		if !bounds[cut] && !errors.Is(tear, frame.ErrTorn) {
+			t.Fatalf("cut %d mid-record: tear %v, want frame.ErrTorn", cut, tear)
 		}
 	}
 	// a flipped byte anywhere must stop the scan at or before that record
 	for i := range data {
 		mutated := append([]byte(nil), data...)
 		mutated[i] ^= 0x20
-		n, _ := scanRecords(mutated, func(uint64, Batch) error { return nil })
-		if !bounds[n] {
+		n, tear := scan(mutated)
+		if n != 0 && !bounds[n] {
 			t.Fatalf("flip %d: valid prefix %d is not a record boundary", i, n)
 		}
 		if n > i {
 			t.Fatalf("flip at %d: prefix %d includes corrupt byte", i, n)
+		}
+		if !errors.Is(tear, frame.ErrTorn) {
+			t.Fatalf("flip at %d: tear %v, want frame.ErrTorn", i, tear)
 		}
 	}
 }

@@ -642,7 +642,11 @@ func (db *DB) WriteSnapshot(w io.Writer) error {
 // re-annotating, when WithShapesGraph supplies them) shapes and
 // statistics.
 func LoadSnapshot(r io.Reader, opts ...Option) (*DB, error) {
-	st, err := store.ReadSnapshot(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("rdfshapes: reading snapshot: %w", err)
+	}
+	st, err := store.ReadSnapshot(data)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package rdfshapes
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -74,7 +73,7 @@ func OpenReplica(primaryURL string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdfshapes: bootstrapping replica: %w", err)
 	}
-	st, err := store.ReadSnapshot(bytes.NewReader(data))
+	st, err := store.ReadSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("rdfshapes: parsing primary snapshot: %w", err)
 	}
@@ -153,7 +152,7 @@ type replicaTarget struct{ db *DB }
 // diverged primary) without a cold restart, and the maintainer sees the
 // transition as a normal commit.
 func (t *replicaTarget) Bootstrap(gen uint64, snapshot []byte) error {
-	st, err := store.ReadSnapshot(bytes.NewReader(snapshot))
+	st, err := store.ReadSnapshot(snapshot)
 	if err != nil {
 		return fmt.Errorf("parsing snapshot: %w", err)
 	}

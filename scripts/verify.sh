@@ -3,9 +3,11 @@
 # over the concurrency-sensitive packages (the observability collector,
 # the live update layer, the engine's cancellation paths, the HTTP
 # server's governor, the shard coordinator, and the facade lifecycle),
-# the benchmark/ module's own vet, tests and smoke run (a nested module
-# the root ./... patterns do not reach), and the replication smoke. Run
-# from the repo root.
+# 10 s fuzz smokes of the binary codec (internal/frame: WAL records and
+# snapshots behind valid checksums) and of the store's index access
+# paths, the benchmark/ module's own vet, tests and smoke run (a nested
+# module the root ./... patterns do not reach), and the replication
+# smoke. Run from the repo root.
 set -eu
 
 echo "== go build =="
@@ -55,8 +57,8 @@ go test -race -run 'TestReplica|TestServerWALPoisoned|TestServerReplication' .
 echo "== go test -race (facade durability: recovery, stats oracle, crash matrix) =="
 go test -race -run 'TestDurability|TestOpen|TestWithDurability|TestCheckpoint|TestWALFailure|TestFacadeCrashMatrix' .
 
-echo "== snapshot corruption fuzz smoke =="
-go test -run=NONE -fuzz=FuzzReadSnapshot -fuzztime=10s ./internal/store
+echo "== binary codec fuzz smoke (checksum-sealed WAL record payloads and snapshot bodies) =="
+go test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/frame
 
 echo "== index access-path fuzz smoke (offset tables, in-run search vs a linear filter) =="
 go test -run=NONE -fuzz=FuzzStoreMatch -fuzztime=10s ./internal/store
