@@ -51,6 +51,10 @@ func (b *Bindings) Term(id store.ID) rdf.Term {
 	return b.dict.Term(id)
 }
 
+// Dict returns the dictionary that resolves the cells, or nil when the
+// answer carries its own term table (a COUNT).
+func (b *Bindings) Dict() *store.Dict { return b.dict }
+
 // Maps renders the answer as one variable → term map per solution, terms
 // in N-Triples syntax and "" for an unbound variable: Result.Rows.
 func (b *Bindings) Maps() []map[string]string {
@@ -131,14 +135,17 @@ func (v view) selectBGP(src string, q *sparql.Query, limit int) (*Bindings, erro
 }
 
 // selectUnion evaluates a top-level UNION: every branch is planned and
-// executed independently and projected onto the shared variables, the
+// executed independently and projected onto the shared layout — a
+// variable the branch does not bind is unbound (0) in its rows — the
 // branches are concatenated, then DISTINCT, OFFSET, and LIMIT apply to
 // the combined rows — on IDs, all branches reading one snapshot's
-// dictionary. SELECT * projects the variables common to all branches.
+// dictionary. The in-scope variables of a UNION are those of any branch
+// (SPARQL 1.1 §18.2.1), so SELECT * projects every branch variable in
+// first-appearance order.
 func (v view) selectUnion(src string, q *sparql.Query) (*Bindings, error) {
 	proj := q.Projection
 	if len(proj) == 0 {
-		proj = commonBranchVars(q)
+		proj = q.AllVars()
 	}
 	all := engine.Solutions{Vars: proj, Cols: make([]int, len(proj))}
 	for i := range all.Cols {
@@ -148,7 +155,7 @@ func (v view) selectUnion(src string, q *sparql.Query) (*Bindings, error) {
 	truncated := false
 	for i := range q.UnionGroups {
 		bq := q.Branch(i)
-		bq.Projection = proj
+		bq.Projection = nil // every variable the branch binds; see col below
 		bq.Distinct = false
 		bq.Limit = 0
 		bq.Offset = 0
@@ -167,15 +174,26 @@ func (v view) selectUnion(src string, q *sparql.Query) (*Bindings, error) {
 			return nil, err
 		}
 		truncated = truncated || er.Truncated
-		// Copy the branch into the shared layout. With no variable common
-		// to every branch (proj empty) a solution carries no binding.
+		// Copy the branch into the shared layout: col[j] is the branch's
+		// column for proj[j], -1 when the branch does not bind it.
+		col := make([]int, len(proj))
+		for j, name := range proj {
+			col[j] = -1
+			for k, bv := range sol.Vars {
+				if bv == name {
+					col[j] = sol.Cols[k]
+				}
+			}
+		}
 		w := len(proj)
 		slab := make([]store.ID, len(sol.Rows)*w)
 		for _, row := range sol.Rows {
 			p := slab[:w:w]
 			slab = slab[w:]
-			for j := range p {
-				p[j] = row[sol.Cols[j]]
+			for j, c := range col {
+				if c >= 0 {
+					p[j] = row[c]
+				}
 			}
 			all.Rows = append(all.Rows, p)
 		}

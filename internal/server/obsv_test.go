@@ -68,6 +68,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rdfshapes_dataset_node_shapes",
 		"rdfshapes_dataset_property_shapes",
 		"rdfshapes_trace_buffer_capacity",
+		// SELECT * over every triple has shown all ten terms, whose
+		// SPARQL-JSON objects are 475 bytes together.
+		"rdfshapes_term_cache_terms 10",
+		"rdfshapes_term_cache_bytes 475",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, body)

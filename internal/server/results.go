@@ -6,10 +6,10 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rdfshapes"
 	"rdfshapes/internal/rdf"
-	"rdfshapes/internal/store"
 )
 
 // jsonTerm is one RDF term in SPARQL 1.1 JSON results form.
@@ -48,13 +48,14 @@ var chunkPool = sync.Pool{New: func() any {
 }}
 
 // writeBindings writes b to w as a SPARQL 1.1 Query Results JSON
-// document, straight from its ID rows: each distinct term's
-// {"type":…,"value":…} object is produced once per response and copied
-// into every cell that repeats it, a row's variables go out in sorted
-// name order with unbound ones omitted, and the body leaves in chunks of
-// about chunkBytes. It returns the first error of w.Write, having
-// stopped encoding there.
-func writeBindings(w io.Writer, b *rdfshapes.Bindings) error {
+// document, straight from its ID rows: each term's {"type":…,"value":…}
+// object is copied from terms, which encodes it the first time any
+// response shows it, a row's variables go out in sorted name order with
+// unbound ones omitted, and the body leaves in chunks of about
+// chunkBytes. terms belongs to b's dictionary; it is nil when b has none
+// (a COUNT), whose one term is encoded here. It returns the first error
+// of w.Write, having stopped encoding there.
+func writeBindings(w io.Writer, b *rdfshapes.Bindings, terms *termCache) error {
 	bufp := chunkPool.Get().(*[]byte)
 	buf := (*bufp)[:0]
 	defer func() {
@@ -75,8 +76,8 @@ func writeBindings(w io.Writer, b *rdfshapes.Bindings) error {
 		return err
 	}
 
-	// Everything encoding/json is asked for — the variable list, the
-	// member names, the term objects — goes into frags; what it writes
+	// Everything else encoding/json is asked for — the variable list, the
+	// member names, a COUNT's term — goes into frags; what it writes
 	// cannot fail (strings into a buffer), and each Encode ends in a
 	// newline the spans leave out.
 	var frags bytes.Buffer
@@ -115,7 +116,10 @@ func writeBindings(w io.Writer, b *rdfshapes.Bindings) error {
 	buf = append(buf, frags.Bytes()[vars.off:vars.end]...)
 	buf = append(buf, `},"results":{"bindings":[`...)
 
-	terms := make(map[store.ID]span)
+	var index []atomic.Pointer[[]byte]
+	if terms != nil {
+		index = terms.table()
+	}
 	for r, row := range b.Rows {
 		if r > 0 {
 			buf = append(buf, ',')
@@ -127,11 +131,6 @@ func writeBindings(w io.Writer, b *rdfshapes.Bindings) error {
 			if id == 0 {
 				continue // unbound OPTIONAL variable: omitted per spec
 			}
-			t, ok := terms[id]
-			if !ok {
-				t = encode(toJSONTerm(b.Term(id)))
-				terms[id] = t
-			}
 			if !first {
 				buf = append(buf, ',')
 			}
@@ -139,7 +138,21 @@ func writeBindings(w io.Writer, b *rdfshapes.Bindings) error {
 			all := frags.Bytes()
 			buf = append(buf, all[m.key.off:m.key.end]...)
 			buf = append(buf, ':')
-			buf = append(buf, all[t.off:t.end]...)
+			var hit *[]byte
+			if int(id) < len(index) {
+				hit = index[id].Load()
+			}
+			switch {
+			case hit != nil:
+				buf = append(buf, *hit...)
+			case terms != nil:
+				var frag []byte
+				frag, index = terms.fill(id)
+				buf = append(buf, frag...)
+			default:
+				t := encode(toJSONTerm(b.Term(id)))
+				buf = append(buf, frags.Bytes()[t.off:t.end]...)
+			}
 		}
 		buf = append(buf, '}')
 		if len(buf) >= chunkBytes {

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"rdfshapes"
@@ -105,22 +106,36 @@ func serve(h http.Handler, src string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// assertWireMatchesReference serves src twice through h — the second
+// time every term comes from the handler's term cache — and requires
+// both bodies to equal the reference encoder's.
 func assertWireMatchesReference(t *testing.T, db *rdfshapes.DB, h http.Handler, name, src string) {
 	t.Helper()
-	rec := serve(h, src)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
-	}
-	got, want := rec.Body.Bytes(), refEncode(t, db, src)
-	if !bytes.Equal(got, want) {
-		i := 0
-		for i < len(got) && i < len(want) && got[i] == want[i] {
-			i++
+	want := refEncode(t, db, src)
+	for _, pass := range []string{"cold", "warm"} {
+		rec := serve(h, src)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s (%s): status %d: %s", name, pass, rec.Code, rec.Body)
 		}
-		lo := max(0, i-60)
-		t.Fatalf("%s: body differs from the reference encoder at byte %d (%d vs %d bytes)\n got: …%s\nwant: …%s",
-			name, i, len(got), len(want), got[lo:min(len(got), i+60)], want[lo:min(len(want), i+60)])
+		if msg := bodyDiff(rec.Body.Bytes(), want); msg != "" {
+			t.Fatalf("%s (%s): %s", name, pass, msg)
+		}
 	}
+}
+
+// bodyDiff describes where got first differs from the reference body
+// want, or returns "" when they are equal.
+func bodyDiff(got, want []byte) string {
+	if bytes.Equal(got, want) {
+		return ""
+	}
+	i := 0
+	for i < len(got) && i < len(want) && got[i] == want[i] {
+		i++
+	}
+	lo := max(0, i-60)
+	return fmt.Sprintf("body differs from the reference encoder at byte %d (%d vs %d bytes)\n got: …%s\nwant: …%s",
+		i, len(got), len(want), got[lo:min(len(got), i+60)], want[lo:min(len(want), i+60)])
 }
 
 // TestWireBytesMatchReferenceLUBM: every LUBM workload query answers
@@ -157,12 +172,10 @@ func TestWireBytesMatchReferenceLUBM(t *testing.T) {
 	}
 }
 
-// TestWireBytesMatchReferenceHandcrafted covers what LUBM's tidy IRIs
-// and names do not: every character class JSON escapes, every literal
-// flavour, unbound cells, and each solution-modifier and answer form.
-func TestWireBytesMatchReferenceHandcrafted(t *testing.T) {
+// handcraftedGraph is the dataset of TestWireBytesMatchReferenceHandcrafted.
+func handcraftedGraph() rdf.Graph {
 	ex := func(s string) rdf.Term { return rdf.NewIRI("http://ex/" + s) }
-	g := rdf.Graph{
+	return rdf.Graph{
 		{S: ex("s1"), P: ex("v"), O: rdf.NewLiteral(`quote " backslash \ done`)},
 		{S: ex("s2"), P: ex("v"), O: rdf.NewLiteral("newline \n tab \t ctrl \x01 done")},
 		{S: ex("s3"), P: ex("v"), O: rdf.NewLiteral("sep \u2028 html <>& done")},
@@ -177,6 +190,13 @@ func TestWireBytesMatchReferenceHandcrafted(t *testing.T) {
 		{S: ex("s3"), P: ex("u2"), O: ex("shared")},
 		{S: ex("s4"), P: ex("u2"), O: ex("other")},
 	}
+}
+
+// TestWireBytesMatchReferenceHandcrafted covers what LUBM's tidy IRIs
+// and names do not: every character class JSON escapes, every literal
+// flavour, unbound cells, and each solution-modifier and answer form.
+func TestWireBytesMatchReferenceHandcrafted(t *testing.T) {
+	g := handcraftedGraph()
 	queries := map[string]string{
 		"all":            `SELECT * WHERE { ?s <http://ex/v> ?o }`,
 		"reordered":      `SELECT ?o ?s WHERE { ?s <http://ex/v> ?o }`,
@@ -185,6 +205,8 @@ func TestWireBytesMatchReferenceHandcrafted(t *testing.T) {
 		"allUnbound":     `SELECT ?w WHERE { ?s <http://ex/v> ?o . OPTIONAL { ?s <http://ex/w> ?w } }`,
 		"union":          `SELECT DISTINCT ?o WHERE { { ?s <http://ex/u> ?o } UNION { ?s <http://ex/u2> ?o } } OFFSET 1 LIMIT 1`,
 		"unionStar":      `SELECT * WHERE { { ?s <http://ex/u> ?o } UNION { ?s <http://ex/u2> ?o } }`,
+		"unionDisjoint":  `SELECT ?s ?o ?x WHERE { { ?s <http://ex/u> ?o } UNION { ?s <http://ex/u2> ?x } }`,
+		"unionDisjoint*": `SELECT * WHERE { { ?s <http://ex/w> ?w } UNION { ?s <http://ex/u2> ?x } }`,
 		"orderDesc":      `SELECT ?s ?o WHERE { ?s <http://ex/v> ?o } ORDER BY DESC(?o)`,
 		"orderWindow":    `SELECT DISTINCT ?o WHERE { ?s <http://ex/v> ?o } ORDER BY ?s OFFSET 2 LIMIT 3`,
 		"countStar":      `SELECT (COUNT(*) AS ?n) WHERE { ?s <http://ex/v> ?o }`,
@@ -255,13 +277,179 @@ func TestEncodeAllocsFollowDistinctTerms(t *testing.T) {
 		t.Fatalf("rows = %d, want 10000", len(b.Rows))
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		if err := writeBindings(io.Discard, b); err != nil {
+		if err := writeBindings(io.Discard, b, newTermCache(b.Dict())); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs >= 500 {
 		t.Errorf("encoding 10000 rows over 50 distinct terms took %.0f allocations, want < 500", allocs)
 	}
+}
+
+// TestWarmEncodeAllocsIgnoreDistinctTerms: once its terms are cached, an
+// answer is encoded with a fixed handful of allocations however many
+// distinct terms it shows.
+func TestWarmEncodeAllocsIgnoreDistinctTerms(t *testing.T) {
+	var g rdf.Graph
+	s, p := rdf.NewIRI("http://ex/s"), rdf.NewIRI("http://ex/p")
+	for i := 0; i < 10000; i++ {
+		g = append(g, rdf.Triple{S: s, P: p, O: rdf.NewLiteral(fmt.Sprintf("value %d", i))})
+	}
+	db, err := rdfshapes.Load(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	b, err := db.SelectCtx(context.Background(), `SELECT ?o WHERE { <http://ex/s> <http://ex/p> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Rows) != 10000 {
+		t.Fatalf("rows = %d, want 10000", len(b.Rows))
+	}
+	terms := newTermCache(b.Dict())
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := writeBindings(io.Discard, b, terms); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= 50 {
+		t.Errorf("a warm encode of 10000 distinct terms took %.0f allocations, want < 50", allocs)
+	}
+}
+
+// TestTermCacheHoldsEachTermOnce: a handler that has served every term
+// of a dataset, some of them many times, holds exactly one fragment per
+// dictionary term, and its byte gauge is their summed length.
+func TestTermCacheHoldsEachTermOnce(t *testing.T) {
+	db, err := rdfshapes.Load(handcraftedGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	h := New(db)
+	for i := 0; i < 2; i++ {
+		for _, src := range []string{
+			`SELECT * WHERE { ?s ?p ?o }`,
+			`SELECT ?o ?s WHERE { ?s <http://ex/u> ?o . ?s2 <http://ex/u> ?o }`,
+		} {
+			if rec := serve(h, src); rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	b, err := db.SelectCtx(context.Background(), `SELECT * WHERE { ?s ?p ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := h.terms.Load()
+	if c == nil || c.dict != b.Dict() {
+		t.Fatal("the handler holds no cache for the answers' dictionary")
+	}
+	if held, n := assertGaugesMatchIndex(t, c), b.Dict().Len(); held != n {
+		t.Errorf("cache holds %d fragments, want one per dictionary term, %d", held, n)
+	}
+}
+
+// assertGaugesMatchIndex checks that c's gauges count what its index
+// holds — each term encoded once, bytes the fragments' summed length —
+// and returns the number of fragments held.
+func assertGaugesMatchIndex(t *testing.T, c *termCache) int {
+	t.Helper()
+	held, size := 0, 0
+	index := c.table()
+	for i := range index {
+		if p := index[i].Load(); p != nil {
+			held++
+			size += len(*p)
+		}
+	}
+	if c.terms.Load() != int64(held) {
+		t.Errorf("%d terms encoded for %d fragments held", c.terms.Load(), held)
+	}
+	if c.bytes.Load() != int64(size) {
+		t.Errorf("byte gauge %d, want the fragments' summed length %d", c.bytes.Load(), size)
+	}
+	return held
+}
+
+// TestWireBytesAcrossDictionaryGrowth: terms an update interns after the
+// cache's index was sized grow the index and encode like every other.
+func TestWireBytesAcrossDictionaryGrowth(t *testing.T) {
+	db, err := rdfshapes.Load(handcraftedGraph())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	h := New(db)
+	const src = `SELECT ?s ?o WHERE { ?s <http://ex/v> ?o }`
+	assertWireMatchesReference(t, db, h, "before", src)
+	c := h.terms.Load()
+	sized := len(c.table())
+
+	var ins strings.Builder
+	ins.WriteString("INSERT DATA {")
+	for i := 0; i < 2*sized; i++ {
+		fmt.Fprintf(&ins, ` <http://ex/new%d> <http://ex/v> "fresh \"%d\" <&>" .`, i, i)
+	}
+	ins.WriteString(" }")
+	if _, err := db.UpdateCtx(context.Background(), ins.String()); err != nil {
+		t.Fatal(err)
+	}
+	assertWireMatchesReference(t, db, h, "after", src)
+	if h.terms.Load() != c {
+		t.Fatal("an update replaced the handler's term cache")
+	}
+	if n := len(c.table()); n <= sized {
+		t.Errorf("index still has %d entries after the dictionary grew past %d", n, sized)
+	}
+	assertGaugesMatchIndex(t, c)
+}
+
+// TestConcurrentResponsesShareTermCache: eight goroutines serve
+// overlapping LUBM answers on one handler at once, filling its cold
+// cache side by side and copying each other's fragments; every body is
+// the reference encoder's. Run under -race.
+func TestConcurrentResponsesShareTermCache(t *testing.T) {
+	db, err := rdfshapes.Load(lubm.Generate(lubm.Config{Universities: 1, Seed: 7}),
+		rdfshapes.WithShapesGraph(lubm.Shapes()), rdfshapes.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	h := New(db)
+	var queries []workloads.Query
+	for _, name := range []string{"S1", "S2", "C0", "C2", "Q2", "Q4", "Q9", "F1"} {
+		wq, ok := workloads.ByName(workloads.LUBM(), name)
+		if !ok {
+			t.Fatalf("no LUBM workload query %s", name)
+		}
+		queries = append(queries, wq)
+	}
+	want := make([][]byte, len(queries))
+	for i, wq := range queries {
+		want[i] = refEncode(t, db, wq.Text)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 4; k++ { // each goroutine: four queries, starting at its own
+				i := (g + k) % len(queries)
+				rec := serve(h, queries[i].Text)
+				if rec.Code != http.StatusOK {
+					t.Errorf("%s: status %d", queries[i].Name, rec.Code)
+					continue
+				}
+				if msg := bodyDiff(rec.Body.Bytes(), want[i]); msg != "" {
+					t.Errorf("goroutine %d, %s: %s", g, queries[i].Name, msg)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	assertGaugesMatchIndex(t, h.terms.Load())
 }
 
 // brokenPipe is a ResponseWriter whose client goes away after limit
@@ -322,46 +510,5 @@ func TestVanishedClientStopsEncoding(t *testing.T) {
 	}
 	if rec := serve(h, src); rec.Code != http.StatusOK || rec.Body.Len() != full {
 		t.Errorf("next request on the one-slot server: status %d, %d bytes", rec.Code, rec.Body.Len())
-	}
-}
-
-// BenchmarkSparqlHandler times the whole handler — admission, parse,
-// plan, execute, encode — on a recorder, over the benchmark rig's
-// dataset and parallelism, for one small answer, four join answers of
-// 10² to 10⁴·⁵ rows whose cost is merge and encoding, and two (C1, Q2)
-// whose cost is nested-loop index probes.
-func BenchmarkSparqlHandler(b *testing.B) {
-	db, err := rdfshapes.Load(lubm.Generate(lubm.Config{Universities: 5, Seed: 7}),
-		rdfshapes.WithShapesGraph(lubm.Shapes()), rdfshapes.WithParallelism(2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	h := New(db)
-	queries := []workloads.Query{{
-		Name: "lookup",
-		Text: `PREFIX ub: <http://swat.cse.lehigh.edu/onto/univ-bench.owl#>
-			SELECT ?n ?u WHERE { <http://www.lubm.example/U0/Dept0> ub:name ?n . <http://www.lubm.example/U0/Dept0> ub:subOrganizationOf ?u }`,
-	}}
-	for _, name := range []string{"Q9", "S2", "C0", "S3", "C1", "Q2"} {
-		wq, ok := workloads.ByName(workloads.LUBM(), name)
-		if !ok {
-			b.Fatalf("no LUBM workload query %s", name)
-		}
-		queries = append(queries, wq)
-	}
-	for _, wq := range queries {
-		target := "/sparql?query=" + url.QueryEscape(wq.Text)
-		b.Run(wq.Name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
-				if rec.Code != http.StatusOK {
-					b.Fatalf("status %d: %s", rec.Code, rec.Body)
-				}
-				b.SetBytes(int64(rec.Body.Len()))
-			}
-		})
 	}
 }

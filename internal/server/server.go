@@ -59,6 +59,7 @@ import (
 	"rdfshapes/internal/obsv"
 	"rdfshapes/internal/rdf"
 	"rdfshapes/internal/repl"
+	"rdfshapes/internal/store"
 )
 
 // Governor metric names, exported alongside the obsv package's inventory.
@@ -123,6 +124,11 @@ type Handler struct {
 	// in-flight queries are waited out.
 	ready atomic.Bool
 
+	// terms caches encoded SPARQL-JSON terms across responses; it is
+	// created by the first answer and replaced if an answer arrives from
+	// another dictionary.
+	terms atomic.Pointer[termCache]
+
 	inFlight    atomic.Int64
 	rejections  *obsv.CounterVec
 	timeouts    *obsv.CounterVec
@@ -184,6 +190,22 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 	h.obs.RegisterGauge("rdfshapes_updates_applied",
 		"SPARQL UPDATE requests committed since startup.",
 		func() float64 { return float64(db.UpdatesApplied()) })
+	h.obs.RegisterGauge("rdfshapes_term_cache_terms",
+		"Dictionary terms whose SPARQL-JSON encoding the /sparql writer has cached (at most one per term).",
+		func() float64 {
+			if c := h.terms.Load(); c != nil {
+				return float64(c.terms.Load())
+			}
+			return 0
+		})
+	h.obs.RegisterGauge("rdfshapes_term_cache_bytes",
+		"Bytes of cached SPARQL-JSON term encodings held by the /sparql writer.",
+		func() float64 {
+			if c := h.terms.Load(); c != nil {
+				return float64(c.bytes.Load())
+			}
+			return 0
+		})
 	h.obs.RegisterGauge("rdfshapes_parallelism",
 		"Configured per-query BGP worker count (1 = serial execution).",
 		func() float64 { return float64(db.Parallelism()) })
@@ -597,13 +619,31 @@ func (h *Handler) sparql(w http.ResponseWriter, r *http.Request) {
 		h.truncations.Add(1)
 	}
 	w.Header().Set("Content-Type", "application/sparql-results+json")
-	if err := writeBindings(w, b); err != nil {
+	if err := writeBindings(w, b, h.termCache(b.Dict())); err != nil {
 		// The client went away mid-body. Encoding has already stopped;
 		// abort the connection so nothing downstream can frame the half
 		// document as a complete response. The deferred releases in
 		// govern run as the panic unwinds.
 		h.cancels.Add(1)
 		panic(http.ErrAbortHandler)
+	}
+}
+
+// termCache returns the encoded-term cache for answers resolved by d,
+// replacing the handler's cache when it belongs to another dictionary;
+// nil for an answer with no dictionary.
+func (h *Handler) termCache(d *store.Dict) *termCache {
+	if d == nil {
+		return nil
+	}
+	for {
+		c := h.terms.Load()
+		if c != nil && c.dict == d {
+			return c
+		}
+		if n := newTermCache(d); h.terms.CompareAndSwap(c, n) {
+			return n
+		}
 	}
 }
 

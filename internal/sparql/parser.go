@@ -147,22 +147,6 @@ func (p *parser) query() (*Query, error) {
 		if len(q.OrderBy) > 0 {
 			return nil, fmt.Errorf("sparql: ORDER BY over UNION is not supported")
 		}
-		// explicit projection variables must be bound by every branch
-		for _, v := range q.Projection {
-			for bi := range q.UnionGroups {
-				found := false
-				for _, tp := range q.UnionGroups[bi] {
-					for _, tv := range tp.Vars() {
-						if tv == v {
-							found = true
-						}
-					}
-				}
-				if !found {
-					return nil, fmt.Errorf("sparql: projected variable ?%s not bound by UNION branch %d", v, bi+1)
-				}
-			}
-		}
 		if err := validateFilters(q); err != nil {
 			return nil, err
 		}

@@ -723,49 +723,6 @@ func (v view) countSolutions(src string, q *sparql.Query) (n int64, truncated bo
 	return total, truncated, nil
 }
 
-// commonBranchVars returns the variables bound by every UNION branch, in
-// first-branch order.
-func commonBranchVars(q *sparql.Query) []string {
-	if len(q.UnionGroups) == 0 {
-		return nil
-	}
-	var out []string
-	for _, tp := range q.UnionGroups[0] {
-		for _, v := range tp.Vars() {
-			if contains(out, v) {
-				continue
-			}
-			inAll := true
-			for _, g := range q.UnionGroups[1:] {
-				found := false
-				for _, gtp := range g {
-					if contains(gtp.Vars(), v) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					inAll = false
-					break
-				}
-			}
-			if inAll {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-func contains(xs []string, v string) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Ask answers an ASK query (or any query treated as an existence check):
 // true iff the BGP with its filters has at least one match.
 func (db *DB) Ask(src string) (bool, error) {

@@ -3,6 +3,7 @@ package rdfshapes_test
 import (
 	"bytes"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 
@@ -358,8 +359,6 @@ func TestUnionParseErrors(t *testing.T) {
 	bad := []string{
 		`SELECT * WHERE { { ?x <http://p> ?y } }`,                                        // single branch
 		`SELECT * WHERE { { ?x <http://p> ?y } UNION { } }`,                              // empty branch
-		`SELECT ?z WHERE { { ?x <http://p> ?y } UNION { ?x <http://q> ?w } }`,            // ?z unbound
-		`SELECT ?y WHERE { { ?x <http://p> ?y } UNION { ?x <http://q> ?w } }`,            // ?y not in branch 2
 		`SELECT * WHERE { { ?x <http://p> ?y } UNION { ?x <http://q> ?w } } ORDER BY ?x`, // order over union
 	}
 	for _, src := range bad {
@@ -541,20 +540,56 @@ func TestUnionWithFiltersAndLimit(t *testing.T) {
 	}
 }
 
-func TestUnionSelectStarCommonVars(t *testing.T) {
+// TestUnionInScopeVariables pins SPARQL 1.1 §18.2.1: the in-scope
+// variables of P1 UNION P2 are the union of the branches' variables. A
+// branch leaves the variables it does not bind unbound, SELECT * lists
+// every branch variable in first-appearance order, and an explicit
+// projection may name a variable of one branch only.
+func TestUnionInScopeVariables(t *testing.T) {
 	db := open(t)
-	res, err := db.Query(`PREFIX ex: <http://ex/>
-		SELECT * WHERE {
+	const where = `WHERE {
 			{ ?x a ex:Person . ?x ex:name ?n }
 			UNION
 			{ ?x ex:knows ?z }
-		}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// only ?x is common to both branches
-	if len(res.Vars) != 1 || res.Vars[0] != "x" {
-		t.Errorf("union SELECT * vars = %v, want [x]", res.Vars)
+		}`
+	for _, tc := range []struct {
+		sel  string
+		vars []string
+		rows []string // one "var=term …" line per solution, sorted
+	}{
+		{"*", []string{"x", "n", "z"}, []string{
+			`n= x=<http://ex/alice> z=<http://ex/bob>`,
+			`n="Alice" x=<http://ex/alice> z=`,
+			`n="Bob" x=<http://ex/bob> z=`,
+		}},
+		{"?z ?x", []string{"z", "x"}, []string{
+			`x=<http://ex/alice> z=`,
+			`x=<http://ex/alice> z=<http://ex/bob>`,
+			`x=<http://ex/bob> z=`,
+		}},
+		{"?n", []string{"n"}, []string{`n=`, `n="Alice"`, `n="Bob"`}},
+		{"?w", []string{"w"}, []string{`w=`, `w=`, `w=`}}, // bound by no branch
+	} {
+		res, err := db.Query(`PREFIX ex: <http://ex/> SELECT ` + tc.sel + ` ` + where)
+		if err != nil {
+			t.Fatalf("SELECT %s: %v", tc.sel, err)
+		}
+		if strings.Join(res.Vars, " ") != strings.Join(tc.vars, " ") {
+			t.Errorf("SELECT %s: vars = %v, want %v", tc.sel, res.Vars, tc.vars)
+		}
+		var got []string
+		for _, row := range res.Rows {
+			var cells []string
+			for v, term := range row {
+				cells = append(cells, v+"="+term)
+			}
+			sort.Strings(cells)
+			got = append(got, strings.Join(cells, " "))
+		}
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(tc.rows, "\n") {
+			t.Errorf("SELECT %s: rows\n%s\nwant\n%s", tc.sel, strings.Join(got, "\n"), strings.Join(tc.rows, "\n"))
+		}
 	}
 }
 
