@@ -22,12 +22,15 @@ package rdfshapes
 // stale order only costs performance, never answers.
 
 import (
+	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"rdfshapes/internal/cardinality"
 	"rdfshapes/internal/core"
@@ -76,8 +79,9 @@ func WithAdaptiveReplan(threshold float64) Option {
 // returned by DB.AdaptiveTemplates.
 type TemplateStat struct {
 	// Template is the normalized template text (variables canonicalized
-	// to ?v0, ?v1, ...; non-structural constants masked as $), truncated
-	// to the metric-label cap.
+	// to ?v0, ?v1, ...; non-structural constants masked as $), the
+	// template's unique metric label: past the label cap it is cut and
+	// suffixed with a hash of the full text.
 	Template string
 	// QError is the rolling window's median observed q-error; 0 until
 	// the first complete execution after (re)planning.
@@ -104,12 +108,11 @@ type adaptive struct {
 
 	mu      sync.Mutex
 	entries map[string]*templateEntry
-	replans *obsv.CounterVec // rdfshapes_adaptive_replans_total by template
 }
 
 // templateEntry is one template's cached plan and rolling q-error state.
 type templateEntry struct {
-	label string // truncated template text, the metric label value
+	label string // the metric label value; see templateKey
 
 	plan *cachedPlan // nil: next instance re-plans
 
@@ -140,31 +143,7 @@ func newAdaptive(threshold float64) *adaptive {
 		cooldown:  DefaultAdaptiveCooldown,
 		now:       time.Now,
 		entries:   map[string]*templateEntry{},
-		replans:   obsv.NewCounterVec(obsv.MetricAdaptiveReplans, adaptiveReplansHelp, "template"),
 	}
-}
-
-const adaptiveReplansHelp = "Cached template plans invalidated because their rolling observed q-error crossed the adaptive replan threshold."
-
-// attachCollector moves the replan counter into c's registry so it
-// renders in /metrics, carrying over counts accumulated before the
-// collector was installed (SetCollector may run after construction).
-func (a *adaptive) attachCollector(c *obsv.Collector) {
-	if a == nil || c == nil {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	cv := c.Counter(obsv.MetricAdaptiveReplans, adaptiveReplansHelp, "template")
-	if cv == a.replans {
-		return
-	}
-	for _, e := range a.entries {
-		if e.replans > 0 {
-			cv.Add(float64(e.replans), e.label)
-		}
-	}
-	a.replans = cv
 }
 
 // templateKey normalizes a BGP into its template identity: patterns in
@@ -173,7 +152,9 @@ func (a *adaptive) attachCollector(c *obsv.Collector) {
 // they select the shape statistics), every other constant masked as $.
 // Two queries that differ only in parameter constants or variable names
 // therefore share a key. The second return value is the metric label:
-// the same text truncated to templateLabelMax bytes.
+// the key itself, or, past templateLabelMax bytes, its prefix cut on a
+// rune boundary plus a hash of the whole key, so two templates sharing
+// a long prefix still get distinct labels.
 func templateKey(patterns []sparql.TriplePattern) (string, string) {
 	ordered := append([]sparql.TriplePattern(nil), patterns...)
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Index < ordered[j].Index })
@@ -206,11 +187,17 @@ func templateKey(patterns []sparql.TriplePattern) (string, string) {
 		b.WriteString(" .")
 	}
 	key := b.String()
-	label := key
-	if len(label) > templateLabelMax {
-		label = label[:templateLabelMax]
+	if len(key) <= templateLabelMax {
+		return key, key
 	}
-	return key, label
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	suffix := fmt.Sprintf("#%016x", h.Sum64())
+	cut := templateLabelMax - len(suffix)
+	for !utf8.RuneStart(key[cut]) {
+		cut--
+	}
+	return key, key[:cut] + suffix
 }
 
 // templateKeyFromSteps recovers the template key of an executed plan:
@@ -302,19 +289,15 @@ func (a *adaptive) observe(plan *core.Plan, intermediate []int64) {
 		median(e.qerrs) > a.threshold &&
 		e.plan != nil &&
 		a.now().Sub(e.lastReplan) >= a.cooldown
-	var replans *obsv.CounterVec
-	var label string
 	if fire {
 		e.plan = nil
 		e.qerrs = e.qerrs[:0]
 		e.replans++
 		e.lastReplan = a.now()
-		replans, label = a.replans, e.label
 	}
 	a.mu.Unlock()
 	if fire {
 		a.total.Add(1)
-		replans.Add(1, label)
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"rdfshapes"
-	"rdfshapes/internal/obsv"
 	"rdfshapes/internal/sparql"
 )
 
@@ -207,31 +207,49 @@ func TestAdaptiveReplanCooldown(t *testing.T) {
 	}
 }
 
-func TestAdaptiveReplanCounterSurvivesSetCollector(t *testing.T) {
-	db, advance := openAdaptive(t, 3, 4, time.Second)
-	run(t, db, 0)
-	drift(t, db, 100, 60)
-	advance(10 * time.Second)
-	for i := 0; i < 4; i++ {
-		run(t, db, i)
+// TestTemplateLabelsStayUnique: two templates longer than the label cap
+// that share their first 200 bytes get distinct labels, each valid UTF-8
+// even where the cap falls inside a rune, so their per-template series
+// cannot collide in /metrics.
+func TestTemplateLabelsStayUnique(t *testing.T) {
+	// The type pattern sorts first; its class IRI puts the two-byte é
+	// across byte 200 of the key, and the long predicates push the key
+	// past 250 bytes.
+	class := "<http://ex/" + strings.Repeat("c", 134) + "é>"
+	query := func(p string) string {
+		return fmt.Sprintf(`SELECT ?x WHERE { ?x a %s . ?x <http://ex/%s%s> ?y }`, class, p, strings.Repeat("p", 20))
 	}
-	if db.AdaptiveReplans() != 1 {
-		t.Fatalf("no replan to expose (%+v)", db.AdaptiveTemplates())
+	long := func(p string) []sparql.TriplePattern { return patternsOf(t, query(p)) }
+	k1, l1 := rdfshapes.TemplateKey(long("knows"))
+	k2, l2 := rdfshapes.TemplateKey(long("likes"))
+	if len(k1) < 250 || k1[:200] != k2[:200] {
+		t.Fatalf("keys do not share a 200-byte prefix at >= 250 bytes:\n%q\n%q", k1, k2)
+	}
+	if l1 == l2 {
+		t.Errorf("distinct templates share the label %q", l1)
+	}
+	for _, l := range []string{l1, l2} {
+		if len(l) > 200 || !utf8.ValidString(l) {
+			t.Errorf("label %q: %d bytes, valid UTF-8 %v; want <= 200 and valid", l, len(l), utf8.ValidString(l))
+		}
+	}
+	if key, label := rdfshapes.TemplateKey(patternsOf(t, adaptiveQuery(0))); label != key {
+		t.Errorf("short template label %q differs from its key %q", label, key)
 	}
 
-	// Installing a collector after the fact must carry the accumulated
-	// replan count into the new registry, the way the server wires one in
-	// after Open.
-	c := obsv.NewCollector(16)
-	db.SetCollector(c)
-	var b strings.Builder
-	c.WritePrometheus(&b)
-	out := b.String()
-	if !strings.Contains(out, obsv.MetricAdaptiveReplans) {
-		t.Fatalf("metrics missing %s:\n%s", obsv.MetricAdaptiveReplans, out)
+	db, err := rdfshapes.LoadNTriples(strings.NewReader(testNT), rdfshapes.WithAdaptiveReplan(10))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(out, `} 1`) {
-		t.Errorf("replayed replan count not rendered:\n%s", out)
+	defer db.Close()
+	for _, p := range []string{"knows", "likes"} {
+		if _, err := db.Query(query(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := db.AdaptiveTemplates()
+	if len(st) != 2 || st[0].Template == st[1].Template {
+		t.Errorf("AdaptiveTemplates = %+v, want two entries with distinct labels", st)
 	}
 }
 

@@ -184,6 +184,7 @@ func run(ctx context.Context, opts *options, started chan<- string) error {
 			opts.dataDir, s.Generation, s.RecordsReplayed, s.TornTruncations, s.SnapshotFallbacks)
 	}
 
+	db.SetCollector(obsv.NewCollector(opts.tracebuf))
 	handler := server.NewWithConfig(db, server.Config{
 		MaxConcurrent: opts.maxConcurrent,
 		QueueWait:     opts.queueWait,
@@ -281,18 +282,24 @@ func runRouter(ctx context.Context, opts *options, started chan<- string) error 
 		return err
 	}
 	collector := obsv.NewCollector(0)
-	collector.RegisterCounter(obsv.MetricRouterEjections,
-		"Backends ejected from read routing (unready, unreachable, or beyond the staleness bound).",
-		func() float64 { return float64(rt.Status().Ejections) })
-	collector.RegisterCounter(obsv.MetricRouterStaleReads,
-		"Reads served from a replica beyond the staleness bound, marked with the X-Repl-Stale header.",
-		func() float64 { return float64(rt.Status().StaleReads) })
-	collector.RegisterCounter(obsv.MetricRouterReadsPrim,
-		"Reads routed to the primary (failover or no healthy replica).",
-		func() float64 { return float64(rt.Status().PrimaryReads) })
-	collector.RegisterCounter(obsv.MetricRouterReadsRepl,
-		"Reads routed to healthy replicas.",
-		func() float64 { return float64(rt.Status().ReplicaReads) })
+	counter := func(name, help string, read func(repl.RouterStatus) int64) *obsv.Func {
+		return obsv.NewFunc(name, help, obsv.Counter, "",
+			obsv.Value(func() float64 { return float64(read(rt.Status())) }))
+	}
+	collector.Register(
+		counter("rdfshapes_router_ejections_total",
+			"Backends ejected from read routing (unready, unreachable, or beyond the staleness bound).",
+			func(s repl.RouterStatus) int64 { return s.Ejections }),
+		counter("rdfshapes_router_stale_reads_total",
+			"Reads served from a replica beyond the staleness bound, marked with the X-Repl-Stale header.",
+			func(s repl.RouterStatus) int64 { return s.StaleReads }),
+		counter("rdfshapes_router_primary_reads_total",
+			"Reads routed to the primary (failover or no healthy replica).",
+			func(s repl.RouterStatus) int64 { return s.PrimaryReads }),
+		counter("rdfshapes_router_replica_reads_total",
+			"Reads routed to healthy replicas.",
+			func(s repl.RouterStatus) int64 { return s.ReplicaReads }),
+	)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/router/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -337,10 +344,6 @@ func openDB(opts *options) (*rdfshapes.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The collector goes in as an open-time option so that recovery
-	// counters (replayed records, torn-tail truncations, snapshot
-	// fallbacks) land in the same registry /metrics serves.
-	collector := obsv.NewCollector(opts.tracebuf)
 	baseOpts := []rdfshapes.Option{
 		rdfshapes.WithOpsBudget(opts.budget),
 		rdfshapes.WithAutoCompact(opts.compactAt),
@@ -348,7 +351,6 @@ func openDB(opts *options) (*rdfshapes.DB, error) {
 		rdfshapes.WithAdaptiveReplan(opts.adaptiveAt),
 		rdfshapes.WithLimits(rdfshapes.Limits{MaxRows: opts.maxRows, MaxIntermediate: opts.maxIntermediate}),
 		rdfshapes.WithParallelism(opts.parallelism),
-		rdfshapes.WithCollector(collector),
 	}
 	if opts.replicaOf != "" {
 		switch {

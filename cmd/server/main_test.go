@@ -204,6 +204,43 @@ func TestSigtermDrainCheckpointClose(t *testing.T) {
 	}
 }
 
+// documentedFamilies returns the metric inventory table of
+// docs/OBSERVABILITY.md as name → type.
+func documentedFamilies(t *testing.T) map[string]string {
+	t.Helper()
+	doc, err := os.ReadFile("../../docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if strings.HasPrefix(line, "| `rdfshapes_") {
+			cells := strings.Split(line, "|")
+			out[strings.Trim(strings.TrimSpace(cells[1]), "`")] = strings.TrimSpace(cells[2])
+		}
+	}
+	return out
+}
+
+// assertServes checks that body declares every documented family whose
+// name has prefix, with its documented type.
+func assertServes(t *testing.T, role, body string, documented map[string]string, prefix string) {
+	t.Helper()
+	n := 0
+	for name, typ := range documented {
+		if !strings.HasPrefix(name, prefix) {
+			continue
+		}
+		n++
+		if want := "# TYPE " + name + " " + typ + "\n"; !strings.Contains(body, want) {
+			t.Errorf("%s metrics lack %q:\n%s", role, want, body)
+		}
+	}
+	if n == 0 {
+		t.Errorf("docs/OBSERVABILITY.md lists no %s* family", prefix)
+	}
+}
+
 // TestReplicaAndRouterModes wires the three roles through the real flag
 // surface: a durable primary, a -replica-of follower, and a
 // -router-primary router spreading reads.
@@ -271,18 +308,20 @@ func TestReplicaAndRouterModes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "rdfshapes_router") {
 		t.Fatalf("router metrics = %d: %s", resp.StatusCode, body)
 	}
-	// Monotonic _total series are exported as counters on both surfaces.
-	if want := "# TYPE rdfshapes_router_ejections_total counter\n"; !strings.Contains(string(body), want) {
-		t.Fatalf("router metrics lack %q:\n%s", want, body)
-	}
+	// Each role serves the families docs/OBSERVABILITY.md lists for it,
+	// with the documented type (the primary's are pinned in
+	// internal/server).
+	documented := documentedFamilies(t)
+	assertServes(t, "router", string(body), documented, "rdfshapes_router_")
 	resp, err = http.Get(replica + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if want := "# TYPE rdfshapes_repl_records_applied_total counter\n"; !strings.Contains(string(body), want) {
-		t.Fatalf("replica metrics lack %q:\n%s", want, body)
+	assertServes(t, "replica", string(body), documented, "rdfshapes_repl_")
+	if !strings.Contains(string(body), "rdfshapes_repl_records_applied_total 1\n") {
+		t.Errorf("replica does not count the routed write as applied:\n%s", body)
 	}
 
 	// Writes on the replica are refused with 403.

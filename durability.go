@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"rdfshapes/internal/live"
-	"rdfshapes/internal/obsv"
 	"rdfshapes/internal/store"
 	"rdfshapes/internal/wal"
 )
@@ -112,17 +111,6 @@ func Open(dir string, opts ...Option) (*DB, error) {
 		db.refreshPlanner()
 	}
 	db.durable = mgr
-	rec := mgr.Recovery()
-	if rec.Recovered {
-		cfg.obs.Counter(obsv.MetricRecoveries,
-			"Times a durable data directory with existing state was recovered at open.").Add(1)
-	}
-	cfg.obs.Counter(obsv.MetricRecordsReplayed,
-		"WAL records replayed over the recovered snapshot at open.").Add(float64(rec.RecordsReplayed))
-	cfg.obs.Counter(obsv.MetricTornTruncations,
-		"Torn or corrupt WAL tails truncated during recovery.").Add(float64(rec.TornTruncations))
-	cfg.obs.Counter(obsv.MetricSnapshotFallbacks,
-		"Corrupt snapshots skipped during recovery in favor of an older generation.").Add(float64(rec.SnapshotFallbacks))
 	return db, nil
 }
 
@@ -203,12 +191,7 @@ func (db *DB) Checkpoint() (*CheckpointStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	dur := time.Since(start)
-	db.obs.Counter(obsv.MetricCheckpoints, "Checkpoints completed.").Add(1)
-	db.obs.Histogram(obsv.MetricCheckpointDuration,
-		"Checkpoint wall time in seconds (snapshot write, fsyncs, and log rotation).",
-		obsv.CheckpointDurationBuckets).Observe(dur.Seconds())
-	return &CheckpointStats{Generation: gen, Triples: base.Len(), Duration: dur}, nil
+	return &CheckpointStats{Generation: gen, Triples: base.Len(), Duration: time.Since(start)}, nil
 }
 
 // DurabilityStats is a point-in-time view of the durability subsystem.

@@ -3,12 +3,10 @@ package rdfshapes_test
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"rdfshapes"
 	"rdfshapes/internal/gstats"
-	"rdfshapes/internal/obsv"
 	"rdfshapes/internal/rdf"
 	"rdfshapes/internal/wal"
 )
@@ -481,45 +479,4 @@ func TestOpenCorruptSnapshotFallsBack(t *testing.T) {
 		t.Errorf("fallback recovery: %d triples, want %d", len(got), len(final))
 	}
 	assertStatsOracle(t, re, final, "snapshot fallback")
-}
-
-// TestOpenRecordsRecoveryMetrics pins the observability wiring: a
-// recovery with replayed records shows up on the collector.
-func TestOpenRecordsRecoveryMetrics(t *testing.T) {
-	fs := wal.NewMemFS()
-	db, err := rdfshapes.Load(durabilitySeed(),
-		rdfshapes.WithDurability("/data"), rdfshapes.WithWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, u := range durabilityUpdates()[:3] {
-		if _, err := db.Update(u.sparql()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db.Close()
-	c := obsv.NewCollector(8)
-	re, err := rdfshapes.Open("/data", rdfshapes.WithWALFS(fs), rdfshapes.WithCollector(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if _, err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	var b strings.Builder
-	if err := c.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"rdfshapes_recoveries_total 1",
-		"rdfshapes_wal_records_replayed_total 3",
-		"rdfshapes_checkpoints_total 1",
-		"rdfshapes_checkpoint_duration_seconds_count 1",
-	} {
-		if !strings.Contains(out, want+"\n") {
-			t.Errorf("metrics missing %q:\n%s", want, out)
-		}
-	}
 }

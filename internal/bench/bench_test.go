@@ -408,3 +408,33 @@ func TestQErrorExperimentYAGO(t *testing.T) {
 		t.Errorf("SS gmean %.2f worse than GS %.2f on YAGO", gm(per["SS"]), gm(per["GS"]))
 	}
 }
+
+// TestTraceExperimentCarriesJoinAlgorithms: the bench traces cmd/repro
+// prints are the served path's traces. A LUBM query the cost model runs
+// as a sort-merge prefix carries the per-step algorithm in its trace,
+// and the trace is finished the way /trace/recent's are.
+func TestTraceExperimentCarriesJoinAlgorithms(t *testing.T) {
+	l, _, _ := load(t)
+	c, err := TraceExperiment(l, testCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := 0
+	for _, tr := range c.Recent(0) {
+		if tr.Err != "" || len(tr.Patterns) == 0 || tr.Patterns[0].Algo != "merge" {
+			continue
+		}
+		merged++
+		if !strings.Contains(tr.Plan, "algo=merge") {
+			t.Errorf("%s: merge trace over a plan without merge steps:\n%s", tr.Query, tr.Plan)
+		}
+		for i, p := range tr.Patterns[1:] {
+			if p.Algo != "merge" && p.Algo != "nl" {
+				t.Errorf("%s: step %d algo = %q, want merge or nl", tr.Query, i+1, p.Algo)
+			}
+		}
+	}
+	if merged == 0 {
+		t.Error("no LUBM trace ran a merge prefix")
+	}
+}

@@ -5,16 +5,17 @@ import (
 	"io"
 	"strings"
 
+	"rdfshapes/internal/core"
 	"rdfshapes/internal/engine"
 	"rdfshapes/internal/obsv"
 )
 
 // TraceExperiment executes every workload query once with the SS planner
 // under an obsv.Collector — the serve-time observability layer driven by
-// the bench harness — and returns the collector. Each trace pairs the
-// planner's per-step join estimates with the engine's measured
-// intermediate sizes, exactly as the HTTP server records live traffic,
-// so cmd/repro can print the same accounting the /trace/recent endpoint
+// the bench harness — and returns the collector. Plans get the served
+// path's join-algorithm selection, and each trace is assembled by
+// core.Plan.Trace exactly as the HTTP server records live traffic, so
+// cmd/repro prints the same accounting the /trace/recent endpoint
 // exposes.
 func TraceExperiment(d *Dataset, cfg RunConfig) (*obsv.Collector, error) {
 	cfg = cfg.withDefaults()
@@ -29,40 +30,16 @@ func TraceExperiment(d *Dataset, cfg RunConfig) (*obsv.Collector, error) {
 			return nil, fmt.Errorf("bench: parsing %s/%s: %w", d.Name, wq.Name, err)
 		}
 		plan := pl.Plan(q)
-		var rep engine.ExecReport
+		core.AnnotatePhysical(plan, core.LeadAvailableProbe, core.SourceLegRows(d.Store))
+		var rep *engine.ExecReport
 		_, err = engine.Run(d.Store, plan.Order(), engine.Options{
-			CountOnly: true,
-			MaxOps:    cfg.MaxOps,
-			Observer:  func(r engine.ExecReport) { rep = r },
+			CountOnly:  true,
+			MaxOps:     cfg.MaxOps,
+			MergeWidth: plan.MergeWidth,
+			MergeVar:   plan.MergeVar,
+			Observer:   func(r engine.ExecReport) { rep = &r },
 		})
-		t := obsv.QueryTrace{
-			Query:         wq.Name,
-			Planner:       plan.Estimator,
-			Plan:          plan.String(),
-			EstimatedCost: plan.Cost,
-		}
-		if err != nil {
-			t.Err = err.Error()
-		} else {
-			t.Rows = rep.Count
-			t.Ops = rep.Ops
-			t.WallNanos = rep.Wall.Nanoseconds()
-			t.TimedOut = rep.TimedOut
-			t.LimitHit = rep.LimitHit
-			ests := plan.Estimates()
-			for i, actual := range rep.Intermediate {
-				if i >= len(ests) {
-					break
-				}
-				t.Patterns = append(t.Patterns, obsv.PatternTrace{
-					Pattern:   plan.Steps[i].Pattern.String(),
-					Estimated: ests[i],
-					Actual:    actual,
-				})
-			}
-		}
-		t.Finish()
-		c.Record(t)
+		c.Record(plan.Trace(wq.Name, rep, err))
 	}
 	return c, nil
 }

@@ -156,6 +156,9 @@ type ExecReport struct {
 	// Truncated is true when MaxIntermediate or MaxRows stopped the run
 	// early, making Count and Intermediate lower bounds.
 	Truncated bool
+	// MergeWidth is Result.MergeWidth: the leading patterns that actually
+	// ran as one sort-merge join.
+	MergeWidth int
 }
 
 // Result holds the outcome of executing a BGP.
@@ -231,6 +234,7 @@ func Run(st Source, patterns []sparql.TriplePattern, opts Options) (*Result, err
 				TimedOut:     res.TimedOut,
 				LimitHit:     res.LimitHit,
 				Truncated:    res.Truncated,
+				MergeWidth:   res.MergeWidth,
 			})
 		}
 		return res, nil

@@ -36,6 +36,46 @@ func randomInput(r *rand.Rand, maxTokens int) string {
 	return sb.String()
 }
 
+// addSeeds seeds a fuzz target with every fragment and with the token
+// soup the quick-check tests below draw, so coverage-guided fuzzing
+// starts where they probe; testdata/fuzz adds whole valid documents.
+func addSeeds(f *testing.F) {
+	for _, frag := range fragments {
+		f.Add(frag)
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 32; i++ {
+		f.Add(randomInput(r, 30))
+	}
+}
+
+// FuzzSPARQLParse: the SPARQL parser returns a query or an error on any
+// input, never a panic or (nil, nil).
+func FuzzSPARQLParse(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		if q, err := sparql.Parse(src); err == nil && q == nil {
+			t.Fatalf("nil query without error for %q", src)
+		}
+	})
+}
+
+// FuzzTurtle: the Turtle reader never panics.
+func FuzzTurtle(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = rdf.ParseTurtle(strings.NewReader(src))
+	})
+}
+
+// FuzzNTriples: the N-Triples reader never panics.
+func FuzzNTriples(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = rdf.ParseNTriples(strings.NewReader(src))
+	})
+}
+
 // TestSPARQLParserNeverPanics feeds token soup to the SPARQL parser: it
 // must return (query, nil) or (nil, error), never panic.
 func TestSPARQLParserNeverPanics(t *testing.T) {

@@ -1,6 +1,7 @@
 package obsv
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -13,7 +14,7 @@ func sampleTrace() QueryTrace {
 		Planner: "SS",
 		Patterns: []PatternTrace{
 			{Pattern: "?s a <C>", Estimated: 100, Actual: 100},
-			{Pattern: "?s <p> ?o", Estimated: 50, Actual: 200},
+			{Pattern: "?s <p> ?o", Estimated: 50, Actual: 200, Algo: "nl"},
 		},
 		EstimatedCost: 150,
 		Rows:          10,
@@ -133,7 +134,7 @@ func TestCollectorUnknownPlanner(t *testing.T) {
 func TestNilCollectorSafe(t *testing.T) {
 	var c *Collector
 	c.Record(sampleTrace()) // must not panic
-	c.RegisterGauge("g", "G.", func() float64 { return 1 })
+	c.Register(NewFunc("g", "G.", Gauge, "", Value(func() float64 { return 1 })))
 	if c.Recent(5) != nil {
 		t.Error("nil Recent should return nil")
 	}
@@ -145,11 +146,11 @@ func TestNilCollectorSafe(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusInventory pins the full exported metric surface:
-// every name documented in docs/OBSERVABILITY.md appears, gauges first.
+// TestWritePrometheusInventory pins the collector's own families and a
+// registered one, rendered together.
 func TestWritePrometheusInventory(t *testing.T) {
 	c := NewCollector(4)
-	c.RegisterGauge("rdfshapes_dataset_triples", "Triples.", func() float64 { return 99 })
+	c.Register(NewFunc("rdfshapes_dataset_triples", "Triples.", Gauge, "", Value(func() float64 { return 99 })))
 	c.Record(sampleTrace())
 	var b strings.Builder
 	if err := c.WritePrometheus(&b); err != nil {
@@ -203,55 +204,105 @@ func TestCollectorConcurrent(t *testing.T) {
 	if got := c.TraceCount(); got != 400 {
 		t.Errorf("TraceCount = %d, want 400", got)
 	}
+	if got := c.joinAlgo.Value("nl"); got != 400 {
+		t.Errorf(`join_algo{nl} = %v, want 400`, got)
+	}
 }
 
-// TestAuxiliaryHistogram covers the Histogram aux API: declaration on
-// first use, same-family reuse, nil-collector detachment, and rendering
-// after the auxiliary counters.
+// TestAuxiliaryHistogram covers a registered histogram family: it
+// renders with the collector's own families, and a second registration
+// under the same name replaces the first.
 func TestAuxiliaryHistogram(t *testing.T) {
 	c := NewCollector(4)
-	h := c.Histogram(MetricCheckpointDuration,
-		"Checkpoint wall time in seconds.", CheckpointDurationBuckets)
+	h := NewHistogramVec("rdfshapes_checkpoint_duration_seconds", "Checkpoint wall time in seconds.",
+		[]float64{0.1, 0.25, 1})
+	c.Register(NewHistogramVec(h.Name(), "Replaced.", nil), h)
 	h.Observe(0.2)
 	h.Observe(7)
-	if again := c.Histogram(MetricCheckpointDuration, "other", nil); again != h {
-		t.Error("second Histogram call returned a different family")
-	}
-	c.Counter("rdfshapes_zzz_total", "Sorts after histograms alphabetically but renders first.").Add(1)
 	var b strings.Builder
 	if err := c.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
 	for _, want := range []string{
-		"# TYPE " + MetricCheckpointDuration + " histogram",
-		MetricCheckpointDuration + `_bucket{le="0.25"} 1`,
-		MetricCheckpointDuration + `_bucket{le="+Inf"} 2`,
-		MetricCheckpointDuration + "_count 2",
+		"# HELP rdfshapes_checkpoint_duration_seconds Checkpoint wall time in seconds.",
+		"# TYPE rdfshapes_checkpoint_duration_seconds histogram",
+		`rdfshapes_checkpoint_duration_seconds_bucket{le="0.25"} 1`,
+		`rdfshapes_checkpoint_duration_seconds_bucket{le="+Inf"} 2`,
+		"rdfshapes_checkpoint_duration_seconds_count 2",
 	} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(out, want+"\n") {
 			t.Errorf("metrics output missing %q:\n%s", want, out)
 		}
 	}
-	if strings.Index(out, "rdfshapes_zzz_total") > strings.Index(out, MetricCheckpointDuration+"_count") {
-		t.Error("auxiliary counter rendered after auxiliary histogram")
+	if strings.Contains(out, "Replaced.") {
+		t.Error("the replaced family still renders")
 	}
-	// nil collector: detached but usable
-	var nc *Collector
-	nc.Histogram("x", "y", nil).Observe(1)
 }
 
-// TestRegisterGaugeVec checks labeled read-at-scrape gauges: one series
+// TestWritePrometheusNameOrder: families render in name order, whatever
+// the order they were registered in.
+func TestWritePrometheusNameOrder(t *testing.T) {
+	c := NewCollector(4)
+	c.Register(NewFunc("rdfshapes_zzz", "Z.", Gauge, "", Value(func() float64 { return 1 })),
+		NewFunc("rdfshapes_aaa_total", "A.", Counter, "", Value(func() float64 { return 2 })))
+	var b strings.Builder
+	if err := c.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			names = append(names, f[2])
+		}
+	}
+	if !sort.StringsAreSorted(names) || len(names) != 9 {
+		t.Errorf("families rendered as %v, want 9 in name order", names)
+	}
+}
+
+// TestCollectorCountsJoinsByAlgo: Record counts join steps by the
+// algorithm each trace step ran; a merge prefix's first step is its
+// leading scan, not a join. The family appears with the first join.
+func TestCollectorCountsJoinsByAlgo(t *testing.T) {
+	c := NewCollector(4)
+	single := sampleTrace()
+	single.Patterns = single.Patterns[:1]
+	c.Record(single)
+	var b strings.Builder
+	c.WritePrometheus(&b)
+	if strings.Contains(b.String(), MetricJoinAlgo) {
+		t.Errorf("join family served before any join:\n%s", b.String())
+	}
+	merged := sampleTrace()
+	merged.Patterns = append(merged.Patterns, PatternTrace{Pattern: "?s <q> ?x"})
+	merged.Patterns[0].Algo, merged.Patterns[1].Algo, merged.Patterns[2].Algo = "merge", "merge", "nl"
+	c.Record(merged)
+	c.Record(sampleTrace()) // one nested-loop join
+	if got := c.joinAlgo.Value("merge"); got != 1 {
+		t.Errorf(`join_algo{merge} = %v, want 1`, got)
+	}
+	if got := c.joinAlgo.Value("nl"); got != 2 {
+		t.Errorf(`join_algo{nl} = %v, want 2`, got)
+	}
+	b.Reset()
+	c.WritePrometheus(&b)
+	if !strings.Contains(b.String(), MetricJoinAlgo+`{algo="nl"} 2`+"\n") {
+		t.Errorf("join family not served:\n%s", b.String())
+	}
+}
+
+// TestRegisterGaugeVec checks a labeled scrape-time gauge: one series
 // per map key, sorted, label values escaped, nil-safe registration.
 func TestRegisterGaugeVec(t *testing.T) {
 	c := NewCollector(4)
-	c.RegisterGaugeVec("rdfshapes_template_qerror", "Per-template q-error.", "template",
+	c.Register(NewFunc("rdfshapes_template_qerror", "Per-template q-error.", Gauge, "template",
 		func() map[string]float64 {
 			return map[string]float64{
 				`?v0 a <http://ex/T> .`: 2.5,
 				"with \"quote\"":        1,
 			}
-		})
+		}))
 	var b strings.Builder
 	if err := c.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -271,5 +322,5 @@ func TestRegisterGaugeVec(t *testing.T) {
 	}
 
 	var nilC *Collector
-	nilC.RegisterGaugeVec("x", "X.", "l", func() map[string]float64 { return nil })
+	nilC.Register(NewFunc("x", "X.", Gauge, "l", func() map[string]float64 { return nil }))
 }

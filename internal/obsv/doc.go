@@ -22,8 +22,7 @@
 //     entire cost of the disabled path is two nil checks
 //     (BenchmarkEngineObserverOverhead pins this).
 //   - The facade (rdfshapes.DB) assembles a QueryTrace only when a
-//     collector is installed via rdfshapes.WithCollector or
-//     DB.SetCollector.
+//     collector is installed with DB.SetCollector.
 //
 // # Traces
 //
@@ -38,7 +37,16 @@
 //
 // The Collector aggregates every recorded trace into counters and
 // histograms (queries served by planner and status, latency buckets,
-// per-planner q-error distribution, rows visited) and renders them in
-// Prometheus text exposition format, served at GET /metrics. See
-// docs/OBSERVABILITY.md for the full metric inventory.
+// per-planner q-error distribution, rows visited, join steps by
+// algorithm) and renders them in Prometheus text exposition format,
+// served at GET /metrics.
+//
+// Every family reaches the output through Collector.Register and
+// renders in name order. A family is one of three types: CounterVec and
+// HistogramVec count events as they happen; Func reads, at scrape time,
+// a count another component already keeps (a DB's durability or
+// adaptive-template statistics, the replica follower, the router), so
+// no count is kept twice and a collector installed late still serves
+// the whole history. See docs/OBSERVABILITY.md for the full metric
+// inventory and the owner of each count.
 package obsv

@@ -11,9 +11,16 @@ import (
 )
 
 // This file implements the small subset of the Prometheus text
-// exposition format (version 0.0.4) the collector needs: counters,
-// gauges, and histograms, with labels. Series within a family render in
-// sorted label order so output is deterministic and testable.
+// exposition format (version 0.0.4) the collector needs, as the three
+// Family types: CounterVec and HistogramVec for events, Func for counts
+// read at scrape time. Series within a family render in sorted label
+// order so output is deterministic and testable.
+
+// Family is one metric family a Collector renders; Register adds it.
+type Family interface {
+	Name() string
+	write(io.Writer) error
+}
 
 // escapeLabelValue escapes a label value per the exposition format:
 // backslash, double quote, and newline.
@@ -112,6 +119,9 @@ func NewCounterVec(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{name: name, help: help, labels: labels, series: map[string]*counterSeries{}}
 }
 
+// Name returns the family name.
+func (c *CounterVec) Name() string { return c.name }
+
 // Add increments the series identified by values (one per label) by
 // delta, creating it at zero first. delta must be non-negative.
 func (c *CounterVec) Add(delta float64, values ...string) {
@@ -186,6 +196,9 @@ func NewHistogramVec(name, help string, buckets []float64, labels ...string) *Hi
 	}
 }
 
+// Name returns the family name.
+func (h *HistogramVec) Name() string { return h.name }
+
 // Observe records one observation v on the series identified by values.
 func (h *HistogramVec) Observe(v float64, values ...string) {
 	if len(values) != len(h.labels) {
@@ -249,77 +262,50 @@ func (h *HistogramVec) write(w io.Writer) error {
 	return nil
 }
 
-// GaugeFunc is a gauge whose value is read at scrape time, used for
-// dataset-level facts (triple count, shape counts).
-type GaugeFunc struct {
-	name, help string
-	fn         func() float64
-}
+// Kind is the Prometheus type a Func declares.
+type Kind string
 
-func (g GaugeFunc) write(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", g.name, formatValue(g.fn()))
-	return err
-}
+// The two kinds a scrape-time family may declare.
+const (
+	Counter Kind = "counter"
+	Gauge   Kind = "gauge"
+)
 
-// CounterFunc is an unlabeled counter whose value is read at scrape
-// time; fn must be monotonically non-decreasing.
-type CounterFunc struct {
-	name, help string
-	fn         func() float64
-}
-
-func (c CounterFunc) write(w io.Writer) error {
-	if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s %s\n", c.name, formatValue(c.fn()))
-	return err
-}
-
-// CounterVecFunc is a labeled counter family whose series are read at
-// scrape time: the underlying values live in hot-path-friendly state
-// (e.g. atomics in the shard coordinator) and are only sampled when
-// /metrics is scraped. fn must return monotonically non-decreasing
-// values per key.
-type CounterVecFunc struct {
+// Func is a family whose series are read at scrape time from the
+// component that already keeps the count: read returns one value per
+// label value, or, for an unlabeled family, one value under the key "".
+// A Counter func must be non-decreasing per key.
+type Func struct {
 	name, help, label string
-	fn                func() map[string]float64
+	kind              Kind
+	read              func() map[string]float64
 }
 
-func (c CounterVecFunc) write(w io.Writer) error {
-	if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
+// NewFunc declares a scrape-time family; label is "" for a family of one
+// unlabeled series.
+func NewFunc(name, help string, kind Kind, label string, read func() map[string]float64) *Func {
+	return &Func{name: name, help: help, label: label, kind: kind, read: read}
+}
+
+// Value adapts a single reading to a Func's read function.
+func Value(read func() float64) func() map[string]float64 {
+	return func() map[string]float64 { return map[string]float64{"": read()} }
+}
+
+// Name returns the family name.
+func (f *Func) Name() string { return f.name }
+
+func (f *Func) write(w io.Writer) error {
+	if err := writeHeader(w, f.name, f.help, string(f.kind)); err != nil {
 		return err
 	}
-	vals := c.fn()
-	for _, k := range sortedKeys(vals) {
-		name := seriesName(c.name, []string{c.label}, []string{k})
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, formatValue(vals[k])); err != nil {
-			return err
-		}
+	var labels []string
+	if f.label != "" {
+		labels = []string{f.label}
 	}
-	return nil
-}
-
-// GaugeVecFunc is a labeled gauge family whose series are read at scrape
-// time: fn returns one value per label value, so the series set can grow
-// and shrink with the underlying state (e.g. one series per live query
-// template).
-type GaugeVecFunc struct {
-	name, help, label string
-	fn                func() map[string]float64
-}
-
-func (g GaugeVecFunc) write(w io.Writer) error {
-	if err := writeHeader(w, g.name, g.help, "gauge"); err != nil {
-		return err
-	}
-	vals := g.fn()
+	vals := f.read()
 	for _, k := range sortedKeys(vals) {
-		name := seriesName(g.name, []string{g.label}, []string{k})
-		if _, err := fmt.Fprintf(w, "%s %s\n", name, formatValue(vals[k])); err != nil {
+		if _, err := fmt.Fprintf(w, "%s %s\n", seriesName(f.name, labels, []string{k}), formatValue(vals[k])); err != nil {
 			return err
 		}
 	}

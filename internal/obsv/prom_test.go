@@ -177,11 +177,19 @@ func TestHistogramLabels(t *testing.T) {
 }
 
 func TestGaugeFuncEncoding(t *testing.T) {
-	g := GaugeFunc{name: "sz", help: "Size.", fn: func() float64 { return 42 }}
+	g := NewFunc("sz", "Size.", Gauge, "", Value(func() float64 { return 42 }))
 	out := render(t, g.write)
 	want := "# HELP sz Size.\n# TYPE sz gauge\nsz 42\n"
 	if out != want {
 		t.Errorf("gauge output = %q, want %q", out, want)
+	}
+	c := NewFunc("c_total", "C.", Counter, "shard", func() map[string]float64 {
+		return map[string]float64{"1": 3, "0": 2}
+	})
+	out = render(t, c.write)
+	want = "# HELP c_total C.\n# TYPE c_total counter\nc_total{shard=\"0\"} 2\nc_total{shard=\"1\"} 3\n"
+	if out != want {
+		t.Errorf("labeled counter output = %q, want %q", out, want)
 	}
 }
 

@@ -218,7 +218,7 @@ func TestAdaptiveMetricsExposed(t *testing.T) {
 	body := metricsBody(t, srv.URL)
 	for _, want := range []string{
 		"rdfshapes_adaptive_templates 1",
-		obsv.MetricTemplateQError + `{template="`,
+		`rdfshapes_template_qerror{template="`,
 		fmt.Sprintf("rdfshapes_updates_applied %d", updates),
 		fmt.Sprintf(`rdfshapes_plan_qerror_count{planner="GS"} %d`, reads),
 	} {
@@ -280,8 +280,8 @@ func TestAdaptiveTemplatesCapped(t *testing.T) {
 		t.Errorf("AdaptiveOverflow = %d, want %d", got, want)
 	}
 	body := metricsBody(t, srv.URL)
-	if n := strings.Count(body, obsv.MetricTemplateQError+"{"); n == 0 || n > rdfshapes.MaxAdaptiveTemplates {
-		t.Errorf("%d %s series, want 1..%d", n, obsv.MetricTemplateQError, rdfshapes.MaxAdaptiveTemplates)
+	if n := strings.Count(body, "rdfshapes_template_qerror{"); n == 0 || n > rdfshapes.MaxAdaptiveTemplates {
+		t.Errorf("%d rdfshapes_template_qerror series, want 1..%d", n, rdfshapes.MaxAdaptiveTemplates)
 	}
 	if want := fmt.Sprintf("rdfshapes_adaptive_overflow_total %d", db.AdaptiveOverflow()); !strings.Contains(body, want) {
 		t.Errorf("metrics missing %q", want)

@@ -135,6 +135,7 @@ type Handler struct {
 	cancels     *obsv.CounterVec
 	truncations *obsv.CounterVec
 	panics      *obsv.CounterVec
+	checkpoints *obsv.HistogramVec // durable DBs only; observed by /admin/checkpoint
 }
 
 // New returns an http.Handler serving db under the default governor
@@ -153,151 +154,7 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 	if cfg.MaxConcurrent > 0 {
 		h.sem = make(chan struct{}, cfg.MaxConcurrent)
 	}
-	h.rejections = h.obs.Counter(MetricAdmissionRejected,
-		"Requests rejected with 503 because no execution slot freed up within the queue wait.")
-	h.timeouts = h.obs.Counter(MetricQueryTimeouts,
-		"Queries terminated by the per-request deadline (504).")
-	h.cancels = h.obs.Counter(MetricClientCancellations,
-		"Queries abandoned because the client disconnected mid-execution or while its answer was being written.")
-	h.truncations = h.obs.Counter(MetricResultTruncations,
-		"Query responses truncated by an intermediate- or row-budget (served with truncated=true).")
-	h.panics = h.obs.Counter(MetricPanicsRecovered,
-		"Handler panics recovered to a 500 response.")
-	h.obs.RegisterGauge(MetricInFlight,
-		"Governed HTTP queries currently executing.",
-		func() float64 { return float64(h.inFlight.Load()) })
-	h.obs.RegisterGauge("rdfshapes_dataset_triples",
-		"Triples in the served dataset.",
-		func() float64 { return float64(db.NumTriples()) })
-	h.obs.RegisterGauge("rdfshapes_dataset_node_shapes",
-		"Node shapes in the annotated shapes graph.",
-		func() float64 { return float64(db.Shapes().Len()) })
-	h.obs.RegisterGauge("rdfshapes_dataset_property_shapes",
-		"Property shapes in the annotated shapes graph.",
-		func() float64 { return float64(db.Shapes().PropertyShapeCount()) })
-	h.obs.RegisterGauge("rdfshapes_trace_buffer_capacity",
-		"Capacity of the in-memory query trace ring buffer.",
-		func() float64 { return float64(h.obs.RingSize()) })
-	h.obs.RegisterGauge("rdfshapes_stats_drift",
-		"Approximation drift accumulated in the planner statistics since the last re-annotation.",
-		func() float64 { return float64(db.StatsDrift()) })
-	h.obs.RegisterGauge("rdfshapes_overlay_added_triples",
-		"Triples in the live overlay's added fragment, pending compaction.",
-		func() float64 { a, _ := db.OverlaySize(); return float64(a) })
-	h.obs.RegisterGauge("rdfshapes_overlay_deleted_triples",
-		"Base triples marked deleted in the live overlay, pending compaction.",
-		func() float64 { _, d := db.OverlaySize(); return float64(d) })
-	h.obs.RegisterGauge("rdfshapes_updates_applied",
-		"SPARQL UPDATE requests committed since startup.",
-		func() float64 { return float64(db.UpdatesApplied()) })
-	h.obs.RegisterGauge("rdfshapes_term_cache_terms",
-		"Dictionary terms whose SPARQL-JSON encoding the /sparql writer has cached (at most one per term).",
-		func() float64 {
-			if c := h.terms.Load(); c != nil {
-				return float64(c.terms.Load())
-			}
-			return 0
-		})
-	h.obs.RegisterGauge("rdfshapes_term_cache_bytes",
-		"Bytes of cached SPARQL-JSON term encodings held by the /sparql writer.",
-		func() float64 {
-			if c := h.terms.Load(); c != nil {
-				return float64(c.bytes.Load())
-			}
-			return 0
-		})
-	h.obs.RegisterGauge("rdfshapes_parallelism",
-		"Configured per-query BGP worker count (1 = serial execution).",
-		func() float64 { return float64(db.Parallelism()) })
-	h.obs.RegisterGauge("rdfshapes_parallel_workers_active",
-		"Parallel BGP worker goroutines executing at scrape time.",
-		func() float64 { return float64(rdfshapes.ActiveParallelWorkers()) })
-	if db.AdaptiveEnabled() {
-		h.obs.RegisterGauge("rdfshapes_adaptive_templates",
-			"Query templates tracked by the adaptive replan layer.",
-			func() float64 { return float64(len(db.AdaptiveTemplates())) })
-		h.obs.RegisterCounter("rdfshapes_adaptive_overflow_total",
-			"Queries planned uncached because the adaptive replan layer already tracked its maximum number of templates.",
-			func() float64 { return float64(db.AdaptiveOverflow()) })
-		h.obs.RegisterGaugeVec(obsv.MetricTemplateQError,
-			"Rolling median observed q-error per query template (complete executions since the template's last replan).",
-			"template",
-			func() map[string]float64 {
-				out := map[string]float64{}
-				for _, st := range db.AdaptiveTemplates() {
-					if st.Observations > 0 {
-						out[st.Template] = st.QError
-					}
-				}
-				return out
-			})
-	}
-	if db.Sharded() > 0 {
-		h.obs.RegisterGauge("rdfshapes_shards",
-			"Configured shard count (subject-hash partitions).",
-			func() float64 { return float64(db.Sharded()) })
-		h.obs.RegisterCounterVec(obsv.MetricShardRowsScanned,
-			"Index rows scanned per shard through cross-shard query execution (deletion-masked rows included).",
-			"shard",
-			func() map[string]float64 {
-				out := map[string]float64{}
-				for i, n := range db.Shards().RowsScanned() {
-					out[strconv.Itoa(i)] = float64(n)
-				}
-				return out
-			})
-		h.obs.RegisterCounterVec(obsv.MetricShardsPruned,
-			"Per-pattern shard scans skipped, by reason: ownership (a bound subject routes to its hash owner alone) or stats (the shard's exact statistics prove the pattern empty there).",
-			"reason",
-			func() map[string]float64 {
-				own, stats := db.Shards().Pruned()
-				return map[string]float64{"ownership": float64(own), "stats": float64(stats)}
-			})
-	}
-	if db.Durable() {
-		h.obs.RegisterGauge("rdfshapes_wal_size_bytes",
-			"Active write-ahead log file size in bytes, header included.",
-			func() float64 { s, _ := db.DurabilityStats(); return float64(s.WALSizeBytes) })
-		h.obs.RegisterGauge("rdfshapes_wal_generation",
-			"Current snapshot/WAL generation number.",
-			func() float64 { s, _ := db.DurabilityStats(); return float64(s.Generation) })
-		h.obs.RegisterGauge("rdfshapes_wal_failed",
-			"1 while the WAL is poisoned (updates refused until a checkpoint succeeds), else 0.",
-			func() float64 {
-				if s, _ := db.DurabilityStats(); s.Failed {
-					return 1
-				}
-				return 0
-			})
-	}
-	if db.Replica() {
-		h.obs.RegisterGauge(obsv.MetricReplLagRecords,
-			"Log records the replica is behind the primary as of the last poll.",
-			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.LagRecords) })
-		h.obs.RegisterGauge(obsv.MetricReplStaleness,
-			"Seconds since the replica last observed itself fully caught up.",
-			func() float64 { s, _ := db.ReplicaStatus(); return s.StalenessSeconds })
-		h.obs.RegisterGauge(obsv.MetricReplConnected,
-			"1 while the last exchange with the primary succeeded, else 0.",
-			func() float64 {
-				if s, _ := db.ReplicaStatus(); s.Connected {
-					return 1
-				}
-				return 0
-			})
-		h.obs.RegisterCounter(obsv.MetricReplApplied,
-			"Shipped WAL records applied since the replica started.",
-			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.RecordsApplied) })
-		h.obs.RegisterCounter(obsv.MetricReplReconnects,
-			"Times the follower lost its connection to the primary and reconnected with backoff.",
-			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.Reconnects) })
-		h.obs.RegisterCounter(obsv.MetricReplBootstraps,
-			"Times the replica re-bootstrapped from a fresh primary snapshot (pruned generation or diverged primary).",
-			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.Bootstraps) })
-		h.obs.RegisterCounter(obsv.MetricReplTornStreams,
-			"Log streams that arrived torn mid-record; the intact prefix was applied and the rest re-requested.",
-			func() float64 { s, _ := db.ReplicaStatus(); return float64(s.TornStreams) })
-	}
+	h.register()
 	h.mux.HandleFunc("/sparql", h.govern(h.sparql))
 	h.mux.HandleFunc("/update", h.govern(h.update))
 	h.mux.HandleFunc("/explain", h.govern(h.explain))
@@ -320,6 +177,173 @@ func NewWithConfig(db *rdfshapes.DB, cfg Config) *Handler {
 	}
 	h.ready.Store(true)
 	return h
+}
+
+// checkpointBuckets are the checkpoint-latency histogram upper bounds in
+// seconds: a checkpoint writes a full snapshot, so the range sits well
+// above query latencies.
+var checkpointBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
+
+// register adds the server's families to the collector: the governor's
+// counters and the checkpoint histogram, which count events only the
+// handler sees, and scrape-time families that read every other count
+// from the component that keeps it. docs/OBSERVABILITY.md lists them all.
+func (h *Handler) register() {
+	db := h.db
+	gauge := func(name, help string, read func() float64) *obsv.Func {
+		return obsv.NewFunc(name, help, obsv.Gauge, "", obsv.Value(read))
+	}
+	counter := func(name, help string, read func() float64) *obsv.Func {
+		return obsv.NewFunc(name, help, obsv.Counter, "", obsv.Value(read))
+	}
+	h.rejections = obsv.NewCounterVec(MetricAdmissionRejected,
+		"Requests rejected with 503 because no execution slot freed up within the queue wait.")
+	h.timeouts = obsv.NewCounterVec(MetricQueryTimeouts,
+		"Queries terminated by the per-request deadline (504).")
+	h.cancels = obsv.NewCounterVec(MetricClientCancellations,
+		"Queries abandoned because the client disconnected mid-execution or while its answer was being written.")
+	h.truncations = obsv.NewCounterVec(MetricResultTruncations,
+		"Query responses truncated by an intermediate- or row-budget (served with truncated=true).")
+	h.panics = obsv.NewCounterVec(MetricPanicsRecovered,
+		"Handler panics recovered to a 500 response.")
+	h.obs.Register(h.rejections, h.timeouts, h.cancels, h.truncations, h.panics,
+		gauge(MetricInFlight, "Governed HTTP queries currently executing.",
+			func() float64 { return float64(h.inFlight.Load()) }),
+		gauge("rdfshapes_dataset_triples", "Triples in the served dataset.",
+			func() float64 { return float64(db.NumTriples()) }),
+		gauge("rdfshapes_dataset_node_shapes", "Node shapes in the annotated shapes graph.",
+			func() float64 { return float64(db.Shapes().Len()) }),
+		gauge("rdfshapes_dataset_property_shapes", "Property shapes in the annotated shapes graph.",
+			func() float64 { return float64(db.Shapes().PropertyShapeCount()) }),
+		gauge("rdfshapes_trace_buffer_capacity", "Capacity of the in-memory query trace ring buffer.",
+			func() float64 { return float64(h.obs.RingSize()) }),
+		gauge("rdfshapes_stats_drift", "Approximation drift accumulated in the planner statistics since the last re-annotation.",
+			func() float64 { return float64(db.StatsDrift()) }),
+		gauge("rdfshapes_overlay_added_triples", "Triples in the live overlay's added fragment, pending compaction.",
+			func() float64 { a, _ := db.OverlaySize(); return float64(a) }),
+		gauge("rdfshapes_overlay_deleted_triples", "Base triples marked deleted in the live overlay, pending compaction.",
+			func() float64 { _, d := db.OverlaySize(); return float64(d) }),
+		gauge("rdfshapes_updates_applied", "SPARQL UPDATE requests committed since startup.",
+			func() float64 { return float64(db.UpdatesApplied()) }),
+		gauge("rdfshapes_term_cache_terms", "Dictionary terms whose SPARQL-JSON encoding the /sparql writer has cached (at most one per term).",
+			func() float64 {
+				if c := h.terms.Load(); c != nil {
+					return float64(c.terms.Load())
+				}
+				return 0
+			}),
+		gauge("rdfshapes_term_cache_bytes", "Bytes of cached SPARQL-JSON term encodings held by the /sparql writer.",
+			func() float64 {
+				if c := h.terms.Load(); c != nil {
+					return float64(c.bytes.Load())
+				}
+				return 0
+			}),
+		gauge("rdfshapes_parallelism", "Configured per-query BGP worker count (1 = serial execution).",
+			func() float64 { return float64(db.Parallelism()) }),
+		gauge("rdfshapes_parallel_workers_active", "Parallel BGP worker goroutines executing at scrape time.",
+			func() float64 { return float64(rdfshapes.ActiveParallelWorkers()) }),
+	)
+	if db.AdaptiveEnabled() {
+		perTemplate := func(value func(rdfshapes.TemplateStat) (float64, bool)) func() map[string]float64 {
+			return func() map[string]float64 {
+				out := map[string]float64{}
+				for _, st := range db.AdaptiveTemplates() {
+					if v, ok := value(st); ok {
+						out[st.Template] = v
+					}
+				}
+				return out
+			}
+		}
+		h.obs.Register(
+			gauge("rdfshapes_adaptive_templates", "Query templates tracked by the adaptive replan layer.",
+				func() float64 { return float64(len(db.AdaptiveTemplates())) }),
+			counter("rdfshapes_adaptive_overflow_total", "Queries planned uncached because the adaptive replan layer already tracked its maximum number of templates.",
+				func() float64 { return float64(db.AdaptiveOverflow()) }),
+			obsv.NewFunc("rdfshapes_adaptive_replans_total",
+				"Cached template plans invalidated because their rolling observed q-error crossed the adaptive replan threshold.",
+				obsv.Counter, "template",
+				perTemplate(func(st rdfshapes.TemplateStat) (float64, bool) { return float64(st.Replans), st.Replans > 0 })),
+			obsv.NewFunc("rdfshapes_template_qerror",
+				"Rolling median observed q-error per query template (complete executions since the template's last replan).",
+				obsv.Gauge, "template",
+				perTemplate(func(st rdfshapes.TemplateStat) (float64, bool) { return st.QError, st.Observations > 0 })),
+		)
+	}
+	if db.Sharded() > 0 {
+		h.obs.Register(
+			gauge("rdfshapes_shards", "Configured shard count (subject-hash partitions).",
+				func() float64 { return float64(db.Sharded()) }),
+			obsv.NewFunc("rdfshapes_shard_rows_scanned_total",
+				"Index rows scanned per shard through cross-shard query execution (deletion-masked rows included).",
+				obsv.Counter, "shard",
+				func() map[string]float64 {
+					out := map[string]float64{}
+					for i, n := range db.Shards().RowsScanned() {
+						out[strconv.Itoa(i)] = float64(n)
+					}
+					return out
+				}),
+			obsv.NewFunc("rdfshapes_shards_pruned_total",
+				"Per-pattern shard scans skipped, by reason: ownership (a bound subject routes to its hash owner alone) or stats (the shard's exact statistics prove the pattern empty there).",
+				obsv.Counter, "reason",
+				func() map[string]float64 {
+					own, stats := db.Shards().Pruned()
+					return map[string]float64{"ownership": float64(own), "stats": float64(stats)}
+				}),
+		)
+	}
+	if db.Durable() {
+		durable := func() rdfshapes.DurabilityStats { s, _ := db.DurabilityStats(); return s }
+		h.checkpoints = obsv.NewHistogramVec("rdfshapes_checkpoint_duration_seconds",
+			"Checkpoint wall time in seconds (snapshot write, fsyncs, and log rotation).", checkpointBuckets)
+		h.obs.Register(h.checkpoints,
+			gauge("rdfshapes_wal_size_bytes", "Active write-ahead log file size in bytes, header included.",
+				func() float64 { return float64(durable().WALSizeBytes) }),
+			gauge("rdfshapes_wal_generation", "Current snapshot/WAL generation number.",
+				func() float64 { return float64(durable().Generation) }),
+			gauge("rdfshapes_wal_failed", "1 while the WAL is poisoned (updates refused until a checkpoint succeeds), else 0.",
+				func() float64 { return bit(durable().Failed) }),
+			counter("rdfshapes_checkpoints_total", "Checkpoints completed.",
+				func() float64 { return float64(durable().Checkpoints) }),
+			counter("rdfshapes_recoveries_total", "Times a durable data directory with existing state was recovered at open.",
+				func() float64 { return bit(durable().Recovered) }),
+			counter("rdfshapes_wal_records_replayed_total", "WAL records replayed over the recovered snapshot at open.",
+				func() float64 { return float64(durable().RecordsReplayed) }),
+			counter("rdfshapes_wal_torn_truncations_total", "Torn or corrupt WAL tails truncated during recovery.",
+				func() float64 { return float64(durable().TornTruncations) }),
+			counter("rdfshapes_snapshot_fallbacks_total", "Corrupt snapshots skipped during recovery in favor of an older generation.",
+				func() float64 { return float64(durable().SnapshotFallbacks) }),
+		)
+	}
+	if db.Replica() {
+		replica := func() repl.StatusResponse { s, _ := db.ReplicaStatus(); return s }
+		h.obs.Register(
+			gauge("rdfshapes_repl_lag_records", "Log records the replica is behind the primary as of the last poll.",
+				func() float64 { return float64(replica().LagRecords) }),
+			gauge("rdfshapes_repl_staleness_seconds", "Seconds since the replica last observed itself fully caught up.",
+				func() float64 { return replica().StalenessSeconds }),
+			gauge("rdfshapes_repl_connected", "1 while the last exchange with the primary succeeded, else 0.",
+				func() float64 { return bit(replica().Connected) }),
+			counter("rdfshapes_repl_records_applied_total", "Shipped WAL records applied since the replica started.",
+				func() float64 { return float64(replica().RecordsApplied) }),
+			counter("rdfshapes_repl_reconnects_total", "Times the follower lost its connection to the primary and reconnected with backoff.",
+				func() float64 { return float64(replica().Reconnects) }),
+			counter("rdfshapes_repl_bootstraps_total", "Times the replica re-bootstrapped from a fresh primary snapshot (pruned generation or diverged primary).",
+				func() float64 { return float64(replica().Bootstraps) }),
+			counter("rdfshapes_repl_torn_streams_total", "Log streams that arrived torn mid-record; the intact prefix was applied and the rest re-requested.",
+				func() float64 { return float64(replica().TornStreams) }),
+		)
+	}
+}
+
+// bit renders a boolean as a 0/1 sample.
+func bit(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SetReady flips the /readyz readiness gate. The server process sets it
@@ -819,6 +843,7 @@ func (h *Handler) adminCheckpoint(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	h.checkpoints.Observe(st.Duration.Seconds())
 	w.Header().Set("Content-Type", "application/json")
 	resp := checkpointResponse{
 		Generation:      st.Generation,

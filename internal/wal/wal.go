@@ -571,8 +571,5 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// Recovery returns what Open found and repaired.
-func (m *Manager) Recovery() RecoveryStats { return m.rec }
-
 // Dir returns the durability directory.
 func (m *Manager) Dir() string { return m.dir }

@@ -219,7 +219,6 @@ type config struct {
 	defaultTimeout time.Duration
 	limits         Limits
 	parallelism    int
-	obs            *obsv.Collector
 	compactAt      int
 	driftAt        int64
 	adaptiveAt     float64 // adaptive replan q-error threshold; <= 1 disables
@@ -321,15 +320,6 @@ func WithDriftThreshold(n int64) Option {
 	return func(c *config) { c.driftAt = n }
 }
 
-// WithCollector installs an observability collector: every query run
-// through the DB records a trace (plan, per-pattern estimated vs. actual
-// cardinalities, q-error, ops, wall time) into its ring buffer and
-// cumulative metrics. Without a collector (the default), query execution
-// takes the nil-collector fast path and pays no instrumentation cost.
-func WithCollector(c *obsv.Collector) Option {
-	return func(cfg *config) { cfg.obs = c }
-}
-
 // ErrBudgetExceeded is returned when a query exceeds the DB's operation
 // budget (WithOpsBudget).
 var ErrBudgetExceeded = engine.ErrBudgetExceeded
@@ -406,11 +396,9 @@ func fromStoreCfg(st *store.Store, cfg config) (*DB, error) {
 		defaultTimeout: cfg.defaultTimeout,
 		limits:         cfg.limits,
 		parallelism:    cfg.parallelism,
-		obs:            cfg.obs,
 	}
 	if cfg.adaptiveAt > 1 {
 		db.adaptive = newAdaptive(cfg.adaptiveAt)
-		db.adaptive.attachCollector(db.obs)
 	}
 	if cfg.shards > 1 {
 		g, err := shard.New(st, cfg.shards, shapes)
@@ -975,19 +963,18 @@ func (db *DB) NumTriples() int { return db.snapshotView().Len() }
 func (db *DB) Collector() *obsv.Collector { return db.obs }
 
 // SetCollector installs (or removes, with nil) the observability
-// collector. Not safe to call concurrently with queries; set it up
-// before serving traffic.
-func (db *DB) SetCollector(c *obsv.Collector) {
-	db.obs = c
-	db.adaptive.attachCollector(c)
-}
+// collector: every query run through the DB then records a trace (plan,
+// per-pattern estimated vs. actual cardinalities, q-error, ops, wall
+// time) into its ring buffer and cumulative metrics. Without a collector
+// (the default), query execution takes the nil-collector fast path and
+// pays no instrumentation cost. Not safe to call concurrently with
+// queries; set it up before serving traffic.
+func (db *DB) SetCollector(c *obsv.Collector) { db.obs = c }
 
 // WriteShapesTurtle serializes the annotated shapes graph as Turtle.
 func (db *DB) WriteShapesTurtle(w io.Writer) error {
 	return db.Shapes().WriteTurtle(w, nil)
 }
-
-const joinAlgoHelp = "Join steps executed, labeled by the physical join algorithm the optimizer selected (merge vs nested loop)."
 
 // exec executes a planned BGP with the DB's governor applied: the
 // operation budget (WithOpsBudget), the intermediate/row budgets
@@ -1033,85 +1020,9 @@ func (v view) run(src string, plan *core.Plan, opts engine.Options) (*engine.Res
 		db.adaptive.observe(plan, rep.Intermediate)
 	}
 	if db.obs != nil {
-		v.record(src, plan, er, rep, err)
+		db.obs.Record(plan.Trace(src, rep, err))
 	}
 	return er, err
-}
-
-// record assembles one execution's query trace — per-pattern estimated
-// (the plan's join estimates) vs. actual (the engine's intermediate
-// sizes) cardinalities, q-error, ops, wall time, and the termination
-// reason — and hands it to the collector.
-func (v view) record(src string, plan *core.Plan, er *engine.Result, rep *engine.ExecReport, err error) {
-	c := v.db.obs
-	t := obsv.QueryTrace{
-		Query:         src,
-		Planner:       plan.Estimator,
-		Plan:          plan.String(),
-		EstimatedCost: plan.Cost,
-	}
-	if err != nil {
-		t.Err = err.Error()
-		switch {
-		case errors.Is(err, ErrDeadline):
-			t.Termination = "deadline"
-		case errors.Is(err, ErrCanceled):
-			t.Termination = "canceled"
-		default:
-			t.Termination = "error"
-		}
-	} else if rep != nil {
-		t.Rows = rep.Count
-		t.Ops = rep.Ops
-		t.WallNanos = rep.Wall.Nanoseconds()
-		t.TimedOut = rep.TimedOut
-		t.LimitHit = rep.LimitHit
-		t.Truncated = rep.Truncated
-		switch {
-		case rep.TimedOut:
-			t.Termination = "ops-budget"
-		case rep.Truncated:
-			t.Termination = "truncated"
-		case rep.LimitHit:
-			t.Termination = "limit"
-		}
-		for i, actual := range rep.Intermediate {
-			if i >= len(plan.Steps) {
-				break
-			}
-			// Label with the algorithm that actually executed (the engine
-			// falls back to nested loop when validation fails, reported
-			// via er.MergeWidth), not the planner's request.
-			algo := ""
-			switch {
-			case er != nil && i < er.MergeWidth:
-				algo = "merge"
-			case i > 0:
-				algo = "nl"
-			}
-			t.Patterns = append(t.Patterns, obsv.PatternTrace{
-				Pattern:   plan.Steps[i].Pattern.String(),
-				Estimated: plan.Steps[i].JoinEstimate,
-				Actual:    actual,
-				Algo:      algo,
-			})
-		}
-		if joins := len(plan.Steps) - 1; joins > 0 {
-			mergeJoins := 0
-			if er != nil && er.MergeWidth > 1 {
-				mergeJoins = er.MergeWidth - 1
-			}
-			cv := c.Counter(obsv.MetricJoinAlgo, joinAlgoHelp, "algo")
-			if mergeJoins > 0 {
-				cv.Add(float64(mergeJoins), "merge")
-			}
-			if nl := joins - mergeJoins; nl > 0 {
-				cv.Add(float64(nl), "nl")
-			}
-		}
-	}
-	t.Finish()
-	c.Record(t)
 }
 
 func (v view) plan(q *sparql.Query) *core.Plan {

@@ -719,12 +719,10 @@ func TestQueryEach(t *testing.T) {
 	}
 }
 
-func TestWithCollectorTracesQueries(t *testing.T) {
+func TestCollectorTracesQueries(t *testing.T) {
 	c := obsv.NewCollector(8)
-	db, err := rdfshapes.LoadNTriples(strings.NewReader(testNT), rdfshapes.WithCollector(c))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := open(t)
+	db.SetCollector(c)
 	if db.Collector() != c {
 		t.Fatal("Collector accessor does not return the configured collector")
 	}

@@ -4,8 +4,9 @@
 # router in turn while an INSERT DATA loop hits the primary; kill one
 # replica mid-run; assert zero failed reads (the router fails the dead
 # replica's requests over), zero failed updates, and that the surviving
-# replica converges to zero lag. Run from the repo root. Requires curl
-# and jq.
+# replica converges to zero lag; then check that the router's and the
+# survivor's /metrics registries serve their counters with the counts
+# the run produced. Run from the repo root. Requires curl and jq.
 set -eu
 
 BASE="${REPL_SMOKE_PORT:-18100}"
@@ -143,6 +144,36 @@ printf '%s' "$STATUS" | jq -c .
 APPLIED=$(printf '%s' "$STATUS" | jq '.recordsApplied')
 if [ "$APPLIED" = "0" ]; then
     echo "repl smoke: replica 2 applied no records despite the update stream" >&2
+    exit 1
+fi
+
+echo "== router and surviving-replica registries =="
+# sample prints the value of an unlabeled series in a scrape body,
+# failing unless the family is declared a counter.
+sample() {
+    if ! printf '%s\n' "$1" | grep -qx "# TYPE $2 counter"; then
+        echo "repl smoke: $2 is not served as a counter" >&2
+        exit 1
+    fi
+    printf '%s\n' "$1" | awk -v m="$2" '$1 == m { print $2 }'
+}
+ROUTER_METRICS=$(curl -fsS "http://localhost:$RTPORT/router/metrics")
+# The killed replica was ejected and the survivor served reads; primary
+# reads (failover) and stale reads depend on timing and may stay 0.
+for name in ejections replica_reads primary_reads stale_reads; do
+    value=$(sample "$ROUTER_METRICS" "rdfshapes_router_${name}_total")
+    echo "rdfshapes_router_${name}_total $value"
+    case "$name:$value" in
+    ejections:0 | replica_reads:0 | *:)
+        echo "repl smoke: rdfshapes_router_${name}_total is ${value:-missing}" >&2
+        exit 1
+        ;;
+    esac
+done
+REPLICA_APPLIED=$(sample "$(curl -fsS "http://localhost:$R2PORT/metrics")" rdfshapes_repl_records_applied_total)
+echo "rdfshapes_repl_records_applied_total $REPLICA_APPLIED"
+if [ "$REPLICA_APPLIED" != "$APPLIED" ]; then
+    echo "repl smoke: replica 2 serves $REPLICA_APPLIED applied records, /repl/status says $APPLIED" >&2
     exit 1
 fi
 

@@ -4,8 +4,9 @@
 # the live update layer, the engine's cancellation paths, the HTTP
 # server's governor, the shard coordinator, and the facade lifecycle),
 # 10 s fuzz smokes of the binary codec (internal/frame: WAL records and
-# snapshots behind valid checksums) and of the store's index access
-# paths, the benchmark/ module's own vet, tests and smoke run (a nested
+# snapshots behind valid checksums), of the store's index access paths
+# and of the SPARQL, Turtle and N-Triples parsers, the benchmark/
+# module's own vet, tests and smoke run (a nested
 # module the root ./... patterns do not reach), and the replication
 # smoke. Run from the repo root.
 set -eu
@@ -62,6 +63,11 @@ go test -run=NONE -fuzz=FuzzDecode -fuzztime=10s ./internal/frame
 
 echo "== index access-path fuzz smoke (offset tables, in-run search vs a linear filter) =="
 go test -run=NONE -fuzz=FuzzStoreMatch -fuzztime=10s ./internal/store
+
+echo "== parser fuzz smokes (SPARQL, Turtle, N-Triples: never panic) =="
+for target in FuzzSPARQLParse FuzzTurtle FuzzNTriples; do
+    go test -run=NONE -fuzz="^$target\$" -fuzztime=10s ./internal/integration
+done
 
 echo "== benchmark bit-rot smoke (compile and run every benchmark once) =="
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
